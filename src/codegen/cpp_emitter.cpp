@@ -1,7 +1,9 @@
 #include "codegen/cpp_emitter.h"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <vector>
 
@@ -273,6 +275,45 @@ static inline void w_inject(uint64_t *d, uint32_t dw,
 }
 )";
 
+/** One emitted level function (`lvl_s_N` or `lvl_d_N`): the unit of
+ *  partitioning across translation units. */
+struct LevelFn
+{
+    size_t level;
+    bool dense;
+    std::string text;
+};
+
+/** Longest-processing-time-first: hand each level function, largest
+ *  first, to the unit with the least emitted text so far.  Unit 0
+ *  starts loaded with the definitions only it carries.  Per-function
+ *  rather than per-level granularity is what lets one huge level's
+ *  sparse and dense bodies land in different units. */
+std::vector<std::vector<size_t>>
+partition(const std::vector<LevelFn> &fns, size_t unit0_bytes, int k)
+{
+    std::vector<size_t> by_size(fns.size());
+    std::iota(by_size.begin(), by_size.end(), size_t{0});
+    std::stable_sort(by_size.begin(), by_size.end(),
+                     [&](size_t a, size_t b) {
+                         return fns[a].text.size() > fns[b].text.size();
+                     });
+    std::vector<size_t> load(static_cast<size_t>(k), 0);
+    load[0] = unit0_bytes;
+    std::vector<std::vector<size_t>> units(static_cast<size_t>(k));
+    for (size_t i : by_size) {
+        size_t u = static_cast<size_t>(
+            std::min_element(load.begin(), load.end()) - load.begin());
+        units[u].push_back(i);
+        load[u] += fns[i].text.size();
+    }
+    // Canonical order inside each unit (sparse drains before dense
+    // bodies, ascending level).
+    for (auto &u : units)
+        std::sort(u.begin(), u.end());
+    return units;
+}
+
 class CppEmitter
 {
   public:
@@ -281,17 +322,19 @@ class CppEmitter
     {
     }
 
-    std::string run();
+    std::vector<std::string> run(int k);
 
   private:
     void layoutState();
     void layoutLevels();
     std::string romTable(const Net &n);
+    void emitConstants(std::ostringstream &os);
     void emitTables(std::ostringstream &os);
     void emitNode(std::ostringstream &os, NetId id, bool dense);
     void emitFastNode(std::ostringstream &os, NetId id, bool dense);
     void emitWideNode(std::ostringstream &os, NetId id, bool dense);
-    void emitLevelFns(std::ostringstream &os);
+    std::vector<LevelFn> emitLevelFns();
+    void emitEval(std::ostringstream &os);
     std::string fastVal(NetId o) const;   // u64 value of an operand
     std::string ptrOf(NetId o) const;     // &c->s[off]
     uint32_t wordsOf(NetId o) const
@@ -311,7 +354,8 @@ class CppEmitter
     std::vector<uint32_t> _slot_of;       // strict node -> level slot
     std::string _ind;                     // current body indent
     std::map<std::pair<const void *, int>, std::string> _roms;
-    std::ostringstream _rom_defs;
+    std::ostringstream _rom_decls;        // every unit
+    std::ostringstream _rom_defs;         // unit 0 only
 };
 
 void
@@ -372,7 +416,9 @@ CppEmitter::romTable(const Net &n)
     _roms.emplace(key, name);
     uint32_t stride =
         n.width <= 0 ? 1u : static_cast<uint32_t>((n.width + 63) / 64);
-    _rom_defs << "static const uint64_t " << name << "["
+    _rom_decls << "extern const uint64_t " << name << "["
+               << n.rom->size() * stride << "];\n";
+    _rom_defs << "const uint64_t " << name << "["
               << n.rom->size() * stride << "] = {";
     size_t col = 0;
     for (const BitVec &e : *n.rom) {
@@ -388,15 +434,21 @@ CppEmitter::romTable(const Net &n)
 }
 
 void
+CppEmitter::emitConstants(std::ostringstream &os)
+{
+    os << "enum : uint32_t { kNets = " << _nl.nets().size()
+       << "u, kLevels = " << _levels
+       << "u, kStrictNodes = " << _nl.order().size() << "u };\n";
+    os << "enum : uint64_t { kStateWords = " << _state_words
+       << "ull };\n";
+    os << "enum : uint32_t { kBmWords = " << _bm_off[_levels]
+       << "u };\n\n";
+}
+
+void
 CppEmitter::emitTables(std::ostringstream &os)
 {
     size_t nets = _nl.nets().size();
-    size_t strict = _nl.order().size();
-    os << "enum : uint32_t { kNets = " << nets << "u, kLevels = "
-       << _levels << "u, kStrictNodes = " << strict << "u };\n";
-    os << "enum : uint64_t { kStateWords = " << _state_words
-       << "ull };\n\n";
-
     os << "static const uint32_t kOff[kNets] = {";
     for (size_t i = 0; i < nets; i++)
         os << (i % 16 == 0 ? "\n    " : "") << _off[i] << ",";
@@ -468,8 +520,6 @@ CppEmitter::emitTables(std::ostringstream &os)
     for (size_t l = 0; l <= _levels; l++)
         os << (l % 16 == 0 ? "\n    " : "") << _bm_off[l] << ",";
     os << "\n};\n";
-    os << "enum : uint32_t { kBmWords = " << _bm_off[_levels]
-       << "u };\n";
 }
 
 std::string
@@ -771,17 +821,20 @@ CppEmitter::emitWideNode(std::ostringstream &os, NetId id, bool dense)
        << ptrOf(id) << ", t, " << dw << "u); }\n";
 }
 
-void
-CppEmitter::emitLevelFns(std::ostringstream &os)
+std::vector<LevelFn>
+CppEmitter::emitLevelFns()
 {
-    // All sparse drains first, all dense bodies after: a sparse
-    // frame's control flow then stays inside one contiguous stretch
-    // of text instead of hopping over the (usually idle) dense
-    // variants between levels.
+    // Canonical order: all sparse drains first, all dense bodies
+    // after.  Within a unit the functions keep this order, so a sparse
+    // frame's control flow stays inside one contiguous stretch of text
+    // instead of hopping over the (usually idle) dense variants
+    // between levels.
+    std::vector<LevelFn> fns;
     for (size_t l = 0; l < _levels; l++) {
         const auto &nodes = _level_nodes[l];
         if (nodes.empty())
             continue;
+        std::ostringstream os;
         os << "\n/* level " << l << ": " << nodes.size()
            << " nodes, bitmap words [" << _bm_off[l] << ", "
            << _bm_off[l + 1] << ") */\n";
@@ -791,7 +844,7 @@ CppEmitter::emitLevelFns(std::ostringstream &os)
         // within the level, so the dispatch switch is a contiguous
         // jump table and the jumps walk forward through the level's
         // code — the i-cache-friendly order on large designs.
-        os << "static uint64_t lvl_s_" << l << "(Ctx *c)\n{\n"
+        os << "uint64_t lvl_s_" << l << "(Ctx *c)\n{\n"
            << "    uint64_t ev = 0;\n"
            << "    c->wn[" << l << "] = 0;\n"
            << "    for (uint32_t wi = " << _bm_off[l]
@@ -818,6 +871,7 @@ CppEmitter::emitLevelFns(std::ostringstream &os)
            << "    }\n"
            << "    return ev;\n"
            << "}\n";
+        fns.push_back({l, false, os.str()});
     }
 
     for (size_t l = 0; l < _levels; l++) {
@@ -828,147 +882,23 @@ CppEmitter::emitLevelFns(std::ostringstream &os)
         // value comparison alone decides the changed list.  Used for
         // whole dense frames and for single-level escalation inside
         // sparse frames (onChangeD then still feeds later levels).
-        os << "\nstatic uint64_t lvl_d_" << l << "(Ctx *c)\n{\n"
+        std::ostringstream os;
+        os << "\nuint64_t lvl_d_" << l << "(Ctx *c)\n{\n"
            << "    uint64_t ev = 0;\n";
         _ind = "    ";
         for (NetId id : nodes)
             emitNode(os, id, true);
         os << "    return ev;\n"
            << "}\n";
+        fns.push_back({l, true, os.str()});
     }
     _ind.clear();
+    return fns;
 }
 
-std::string
-CppEmitter::run()
+void
+CppEmitter::emitEval(std::ostringstream &os)
 {
-    layoutState();
-    layoutLevels();
-
-    std::ostringstream body;
-    emitLevelFns(body);
-
-    // Tables are rendered after the level functions so every ROM the
-    // node bodies reference has been registered.
-    std::ostringstream tables;
-    emitTables(tables);
-
-    std::ostringstream os;
-    os << "// Generated by anvilc --emit-cpp; design '" << _name
-       << "'.\n"
-       << "// Implements AnvilKernelV2 (see src/rtl/kernel_abi.h and "
-          "docs/compile.md);\n"
-       << "// compile with: c++ -O2 -fPIC -shared -o kernel.so "
-          "<this file>\n"
-       << "#include <stdint.h>\n"
-       << "#include <stdlib.h>\n"
-       << "#include <string.h>\n\n"
-       << "extern \"C\" {\n"
-       << "typedef struct AnvilKernelStats {\n"
-       << "    uint64_t frames;\n"
-       << "    uint64_t dense_frames;\n"
-       << "    uint64_t fallback_switches;\n"
-       << "    uint64_t nodes_evaluated;\n"
-       << "    uint64_t nets_changed;\n"
-       << "} AnvilKernelStats;\n"
-       << "typedef struct AnvilKernelV2 {\n"
-       << "    uint32_t abi_version;\n"
-       << "    uint32_t net_count;\n"
-       << "    uint64_t design_hash;\n"
-       << "    uint64_t state_words;\n"
-       << "    void *(*create)(void);\n"
-       << "    void (*destroy)(void *ctx);\n"
-       << "    uint64_t *(*net_ptr)(void *ctx, int32_t net);\n"
-       << "    void (*poke)(void *ctx, int32_t net);\n"
-       << "    uint64_t (*eval)(void *ctx, int32_t *changed, "
-          "uint64_t *n_changed);\n"
-       << "    uint64_t (*eval_full)(void *ctx, int32_t *changed, "
-          "uint64_t *n_changed);\n"
-       << "    void (*stats)(void *ctx, AnvilKernelStats *out);\n"
-       << "    uint32_t level_count;\n"
-       << "    void (*level_stats)(void *ctx, uint64_t *out);\n"
-       << "} AnvilKernelV2;\n"
-       << "const AnvilKernelV2 *anvil_kernel_v2(void);\n"
-       << "}\n\n"
-       << "namespace {\n\n";
-
-    os << tables.str() << "\n";
-    os << _rom_defs.str();
-    os << kWidePrelude << "\n";
-
-    os << R"(struct Ctx
-{
-    uint64_t s[kStateWords];
-    uint64_t wbm[kBmWords ? kBmWords : 1];   // per-level occupancy
-    uint32_t wn[kLevels ? kLevels : 1];      // queued-bit upper bound
-    int32_t *out;             // changed-net list of the current eval
-    uint64_t nout;
-    uint64_t dense;           // adaptive: prefer the dense path
-    uint64_t fdense;          // current frame runs fully dense
-    AnvilKernelStats st;
-    uint64_t lvl_ev[kLevels ? kLevels : 1];  // evals per level
-};
-
-/* Queue the strict consumers of a changed net: set their slot bits.
- * The bitmap dedupes by construction (setting a set bit is a no-op),
- * so no epoch bookkeeping is needed; wn[] only over-counts repeat
- * enqueues, and is read as "level non-empty" plus an escalation
- * heuristic, where an over-count is harmless. */
-static inline void enq(Ctx *c, int32_t id)
-{
-    for (uint32_t k = kConsBegin[id]; k < kConsBegin[id + 1]; k++) {
-        int32_t t = kConsNet[k];
-        uint32_t s = kSlotOf[t];
-        c->wbm[kBmOff[kLevelOf[t]] + (s >> 6)] |= 1ull << (s & 63);
-        c->wn[kLevelOf[t]]++;
-    }
-}
-
-/* Sparse-path change: record it and propagate (change-cutting — an
- * unchanged recompute never reaches here, so consumers stay idle).
- * Deliberately NOT inlined: the hooks appear in every node body, and
- * keeping the bodies at compare + store + call is what keeps the
- * level functions resident in the i-cache on multi-MB designs — the
- * call costs a couple of ns and only on an actual change. */
-static __attribute__((noinline)) void onChange(Ctx *c, int32_t id)
-{
-    c->out[c->nout++] = id;
-    enq(c, id);
-}
-
-/* Dense-evaluated change: record it, and feed downstream worklists
- * unless the whole frame is dense (then every node runs anyway).  A
- * single level can escalate to its straight-line body inside an
- * otherwise sparse frame when its queue is a large fraction of the
- * level, so later levels still rely on exact queues. */
-static __attribute__((noinline)) void onChangeD(Ctx *c, int32_t id)
-{
-    c->out[c->nout++] = id;
-    if (!c->fdense)
-        enq(c, id);
-}
-
-static inline void w_store(Ctx *c, int32_t id, uint64_t *dst,
-                           const uint64_t *t, uint32_t words)
-{
-    if (memcmp(dst, t, words * 8) != 0) {
-        memcpy(dst, t, words * 8);
-        onChange(c, id);
-    }
-}
-
-static inline void w_stored(Ctx *c, int32_t id, uint64_t *dst,
-                            const uint64_t *t, uint32_t words)
-{
-    if (memcmp(dst, t, words * 8) != 0) {
-        memcpy(dst, t, words * 8);
-        onChangeD(c, id);
-    }
-}
-)";
-
-    os << body.str();
-
     os << "\nstatic uint64_t do_eval(Ctx *c, int32_t *out, "
           "uint64_t *nout, int full)\n{\n"
        << "    c->out = out;\n"
@@ -1077,20 +1007,210 @@ static void k_level_stats(void *ctx, uint64_t *out)
        << "    k_create, k_destroy, k_net_ptr, k_poke, k_eval, "
           "k_eval_full, k_stats,\n"
        << "    kLevels, k_level_stats,\n"
-       << "};\n\n"
-       << "} // namespace\n\n"
-       << "extern \"C\" const AnvilKernelV2 *\nanvil_kernel_v2(void)\n"
-       << "{\n    return &kKernel;\n}\n";
-    return os.str();
+       << "};\n";
+}
+
+std::vector<std::string>
+CppEmitter::run(int k)
+{
+    if (k < 1)
+        k = 1;
+    layoutState();
+    layoutLevels();
+    std::vector<LevelFn> fns = emitLevelFns();
+
+    // Everything below is rendered after the level functions so every
+    // ROM the node bodies reference has been registered.
+    std::ostringstream consts;
+    emitConstants(consts);
+
+    // Unit 0 alone defines the tables, ROMs, change hooks, do_eval and
+    // the vtable; the other units only see declarations.
+    std::ostringstream defs;
+    emitTables(defs);
+    defs << "\n" << _rom_defs.str();
+    std::ostringstream hooks;
+    hooks << R"(
+/* Queue the strict consumers of a changed net: set their slot bits.
+ * The bitmap dedupes by construction (setting a set bit is a no-op),
+ * so no epoch bookkeeping is needed; wn[] only over-counts repeat
+ * enqueues, and is read as "level non-empty" plus an escalation
+ * heuristic, where an over-count is harmless. */
+static inline void enq(Ctx *c, int32_t id)
+{
+    for (uint32_t k = kConsBegin[id]; k < kConsBegin[id + 1]; k++) {
+        int32_t t = kConsNet[k];
+        uint32_t s = kSlotOf[t];
+        c->wbm[kBmOff[kLevelOf[t]] + (s >> 6)] |= 1ull << (s & 63);
+        c->wn[kLevelOf[t]]++;
+    }
+}
+
+/* Sparse-path change: record it and propagate (change-cutting — an
+ * unchanged recompute never reaches here, so consumers stay idle). */
+void onChange(Ctx *c, int32_t id)
+{
+    c->out[c->nout++] = id;
+    enq(c, id);
+}
+
+/* Dense-evaluated change: record it, and feed downstream worklists
+ * unless the whole frame is dense (then every node runs anyway).  A
+ * single level can escalate to its straight-line body inside an
+ * otherwise sparse frame when its queue is a large fraction of the
+ * level, so later levels still rely on exact queues. */
+void onChangeD(Ctx *c, int32_t id)
+{
+    c->out[c->nout++] = id;
+    if (!c->fdense)
+        enq(c, id);
+}
+)";
+    hooks << "\n/* Level functions, dealt out across the units. */\n";
+    for (const LevelFn &f : fns)
+        hooks << "uint64_t lvl_" << (f.dense ? 'd' : 's') << "_"
+              << f.level << "(Ctx *c);\n";
+    std::ostringstream eval;
+    emitEval(eval);
+
+    std::string defs_s = defs.str(), hooks_s = hooks.str(),
+                eval_s = eval.str();
+    std::vector<std::vector<size_t>> units = partition(
+        fns, defs_s.size() + hooks_s.size() + eval_s.size(), k);
+
+    // Every unit shares one body of declarations: the ABI types, the
+    // constants, the ROM declarations, the prelude, the Ctx layout, and
+    // the change-hook declarations.
+    std::ostringstream common;
+    common << "#include <stdint.h>\n"
+           << "#include <stdlib.h>\n"
+           << "#include <string.h>\n\n"
+           << "extern \"C\" {\n"
+           << "typedef struct AnvilKernelStats {\n"
+           << "    uint64_t frames;\n"
+           << "    uint64_t dense_frames;\n"
+           << "    uint64_t fallback_switches;\n"
+           << "    uint64_t nodes_evaluated;\n"
+           << "    uint64_t nets_changed;\n"
+           << "} AnvilKernelStats;\n"
+           << "typedef struct AnvilKernelV2 {\n"
+           << "    uint32_t abi_version;\n"
+           << "    uint32_t net_count;\n"
+           << "    uint64_t design_hash;\n"
+           << "    uint64_t state_words;\n"
+           << "    void *(*create)(void);\n"
+           << "    void (*destroy)(void *ctx);\n"
+           << "    uint64_t *(*net_ptr)(void *ctx, int32_t net);\n"
+           << "    void (*poke)(void *ctx, int32_t net);\n"
+           << "    uint64_t (*eval)(void *ctx, int32_t *changed, "
+              "uint64_t *n_changed);\n"
+           << "    uint64_t (*eval_full)(void *ctx, int32_t *changed, "
+              "uint64_t *n_changed);\n"
+           << "    void (*stats)(void *ctx, AnvilKernelStats *out);\n"
+           << "    uint32_t level_count;\n"
+           << "    void (*level_stats)(void *ctx, uint64_t *out);\n"
+           << "} AnvilKernelV2;\n"
+           << "const AnvilKernelV2 *anvil_kernel_v2(void);\n"
+           << "}\n\n"
+           // Everything but the entry point binds inside the shared
+           // object: cross-unit calls and ROM reads go direct, never
+           // through the PLT/GOT.
+           << "#pragma GCC visibility push(hidden)\n"
+           << "namespace anvil_kernel {\n\n";
+
+    common << consts.str() << _rom_decls.str() << kWidePrelude << "\n";
+    common << R"(struct Ctx
+{
+    uint64_t s[kStateWords];
+    uint64_t wbm[kBmWords ? kBmWords : 1];   // per-level occupancy
+    uint32_t wn[kLevels ? kLevels : 1];      // queued-bit upper bound
+    int32_t *out;             // changed-net list of the current eval
+    uint64_t nout;
+    uint64_t dense;           // adaptive: prefer the dense path
+    uint64_t fdense;          // current frame runs fully dense
+    AnvilKernelStats st;
+    uint64_t lvl_ev[kLevels ? kLevels : 1];  // evals per level
+};
+
+/* Change hooks, defined once in unit 0.  Deliberately NOT inlined: they
+ * appear in every node body, and keeping the bodies at compare + store
+ * + call is what keeps the level functions resident in the i-cache on
+ * multi-MB designs — the call costs a couple of ns and only on an
+ * actual change. */
+__attribute__((noinline)) void onChange(Ctx *c, int32_t id);
+__attribute__((noinline)) void onChangeD(Ctx *c, int32_t id);
+
+static inline void w_store(Ctx *c, int32_t id, uint64_t *dst,
+                           const uint64_t *t, uint32_t words)
+{
+    if (memcmp(dst, t, words * 8) != 0) {
+        memcpy(dst, t, words * 8);
+        onChange(c, id);
+    }
+}
+
+static inline void w_stored(Ctx *c, int32_t id, uint64_t *dst,
+                            const uint64_t *t, uint32_t words)
+{
+    if (memcmp(dst, t, words * 8) != 0) {
+        memcpy(dst, t, words * 8);
+        onChangeD(c, id);
+    }
+}
+)";
+    std::string common_s = common.str();
+
+    std::vector<std::string> out;
+    for (int u = 0; u < k; u++) {
+        std::ostringstream os;
+        os << "// Generated by anvilc --emit-cpp; design '" << _name
+           << "'";
+        if (k > 1)
+            os << ", unit " << u << " of " << k;
+        os << ".\n"
+           << "// Implements AnvilKernelV2 (see src/rtl/kernel_abi.h and "
+              "docs/compile.md);\n";
+        if (k > 1)
+            os << "// compile each unit with: c++ -std=c++17 -O2 -fPIC "
+                  "-c <unit>, then link\n"
+               << "// all units with: c++ -shared -o kernel.so <objects>\n";
+        else
+            os << "// compile with: c++ -std=c++17 -O2 -fPIC -shared -o "
+                  "kernel.so <this file>\n";
+        os << common_s;
+        // Unit 0's ROM definitions follow the declarations above and
+        // so inherit their external linkage.
+        if (u == 0)
+            os << defs_s << hooks_s;
+        for (size_t i : units[static_cast<size_t>(u)])
+            os << fns[i].text;
+        if (u == 0)
+            os << eval_s;
+        os << "\n} // namespace anvil_kernel\n"
+           << "#pragma GCC visibility pop\n";
+        if (u == 0)
+            os << "\nextern \"C\" const AnvilKernelV2 *\n"
+                  "anvil_kernel_v2(void)\n"
+               << "{\n    return &anvil_kernel::kKernel;\n}\n";
+        out.push_back(os.str());
+    }
+    return out;
 }
 
 } // namespace
 
+std::vector<std::string>
+emitCppKernelUnits(const Netlist &nl, const std::string &design_name,
+                   int k)
+{
+    CppEmitter e(nl, design_name);
+    return e.run(k);
+}
+
 std::string
 emitCppKernel(const Netlist &nl, const std::string &design_name)
 {
-    CppEmitter e(nl, design_name);
-    return e.run();
+    return emitCppKernelUnits(nl, design_name, 1)[0];
 }
 
 } // namespace codegen

@@ -1,11 +1,12 @@
 /**
  * @file
  * Compile-to-C++ netlist backend: lowers the strict combinational
- * portion of a levelized rtl::Netlist to a self-contained C++
- * translation unit implementing the AnvilKernelV2 ABI
- * (rtl/kernel_abi.h).
+ * portion of a levelized rtl::Netlist to C++ implementing the
+ * AnvilKernelV2 ABI (rtl/kernel_abi.h), as one self-contained
+ * translation unit or as K units that compile independently and link
+ * into one shared object.
  *
- * Layout of the emitted unit (see docs/compile.md):
+ * Layout of the emitted kernel (see docs/compile.md):
  *  - the interpreter's fan-out CSR compiled in as static tables
  *    (consumer lists, per-node level/slot, bitmap word offsets);
  *  - two functions per logic level: a sparse one draining the level's
@@ -19,16 +20,25 @@
  *  - change-cutting at every store: an unchanged value queues no
  *    consumers, and eval()'s changed-net list is exact;
  *  - registers, inputs, and constants as a flat packed-word state
- *    array indexed by per-net offsets.
+ *    array indexed by per-net offsets;
+ *  - split into K units: unit 0 defines the tables, ROMs, change
+ *    hooks, do_eval, and the vtable behind `anvil_kernel_v2`; the
+ *    level functions are dealt out to all K units by size.  Every
+ *    unit repeats the prelude and the Ctx layout inside the named
+ *    namespace `anvil_kernel`; every symbol except the entry point
+ *    has hidden visibility, so cross-unit calls bind directly.
  *
- * The dump compiles standalone (`c++ -O2 -fPIC -shared`); the JIT
- * (codegen/jit.h) automates compile + dlopen + hash validation.
+ * The K = 1 unit (the `--emit-cpp` dump) compiles standalone
+ * (`c++ -std=c++17 -O2 -fPIC -shared`); the JIT (codegen/jit.h)
+ * automates the split, the concurrent compile, the link, dlopen, and
+ * hash validation.
  */
 
 #ifndef ANVIL_CODEGEN_CPP_EMITTER_H
 #define ANVIL_CODEGEN_CPP_EMITTER_H
 
 #include <string>
+#include <vector>
 
 #include "rtl/netlist.h"
 
@@ -42,9 +52,11 @@ namespace codegen {
  * built by an older emitter.  v1: block-granular dirty bitmaps;
  * v2: event-driven per-level exact occupancy bitmaps +
  * AnvilKernelV2; v3: per-level evaluation counters + level_stats()
- * (ABI version 3).
+ * (ABI version 3); v4: level functions and ROMs get external hidden
+ * linkage in namespace anvil_kernel, so the kernel can be split into
+ * units.
  */
-constexpr int kCppEmitterVersion = 3;
+constexpr int kCppEmitterVersion = 4;
 
 /**
  * Emit `nl` as a C++ kernel translation unit.  `design_name` only
@@ -53,6 +65,18 @@ constexpr int kCppEmitterVersion = 3;
  */
 std::string emitCppKernel(const rtl::Netlist &nl,
                           const std::string &design_name);
+
+/**
+ * Emit `nl` as `k` translation units (k < 1 counts as 1) that are
+ * compiled separately and linked into one shared object.  Each level
+ * function lands in exactly one unit: largest first, onto the unit
+ * with the least text so far (unit 0 starts with its own
+ * definitions).  Unit 0 is the only one defining the tables and the
+ * entry symbol.  emitCppKernel() returns exactly the k = 1 unit.
+ */
+std::vector<std::string> emitCppKernelUnits(const rtl::Netlist &nl,
+                                            const std::string &design_name,
+                                            int k);
 
 } // namespace codegen
 } // namespace anvil

@@ -1,9 +1,15 @@
 #include "codegen/jit.h"
 
+#include <dirent.h>
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
 #include <stdlib.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -13,6 +19,8 @@
 
 #include "codegen/cpp_emitter.h"
 #include "support/strings.h"
+
+extern char **environ;
 
 namespace anvil {
 namespace codegen {
@@ -35,13 +43,92 @@ readFile(const std::string &path)
     return os.str();
 }
 
+/** Single-quote `s` for /bin/sh, so paths with spaces or shell
+ *  metacharacters reach the compiler as one word. */
+std::string
+shellQuote(const std::string &s)
+{
+    std::string q = "'";
+    for (char ch : s) {
+        if (ch == '\'')
+            q += "'\\''";
+        else
+            q += ch;
+    }
+    return q + "'";
+}
+
+/** Remove the work dir and whatever the compile left in it (units,
+ *  objects, error logs, the shared object).  The dir is flat: the JIT
+ *  never creates subdirectories. */
 void
 removeTree(const std::string &dir)
 {
-    // The dir only ever holds the three files we created.
-    for (const char *f : {"kernel.cpp", "kernel.so", "cc.err"})
-        ::unlink((dir + "/" + f).c_str());
+    if (DIR *d = ::opendir(dir.c_str())) {
+        while (struct dirent *e = ::readdir(d)) {
+            std::string name = e->d_name;
+            if (name != "." && name != "..")
+                ::unlink((dir + "/" + name).c_str());
+        }
+        ::closedir(d);
+    }
     ::rmdir(dir.c_str());
+}
+
+/** Start `cmd` under /bin/sh with stderr redirected to `err_path`;
+ *  -1 if the shell could not be spawned.  The shell keeps $ANVIL_CXX
+ *  verbatim (it may carry its own arguments). */
+pid_t
+spawnShell(const std::string &cmd, const std::string &err_path)
+{
+    posix_spawn_file_actions_t fa;
+    if (posix_spawn_file_actions_init(&fa) != 0)
+        return -1;
+    const char *argv[] = {"sh", "-c", cmd.c_str(), nullptr};
+    pid_t pid = -1;
+    int rc = posix_spawn_file_actions_addopen(
+        &fa, 2, err_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (rc == 0)
+        rc = ::posix_spawn(&pid, "/bin/sh", &fa, nullptr,
+                           const_cast<char *const *>(argv), environ);
+    posix_spawn_file_actions_destroy(&fa);
+    return rc == 0 ? pid : -1;
+}
+
+/** Reap `pid`; returns its raw wait status (-1 if waitpid failed). */
+int
+reap(pid_t pid)
+{
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0) {
+        if (errno != EINTR)
+            return -1;
+    }
+    return status;
+}
+
+std::string
+describeStatus(int status)
+{
+    if (status == -1)
+        return "could not be waited for";
+    if (WIFEXITED(status))
+        return strfmt("exited with status %d", WEXITSTATUS(status));
+    if (WIFSIGNALED(status))
+        return strfmt("was killed by signal %d", WTERMSIG(status));
+    return strfmt("ended with wait status %d", status);
+}
+
+/** A compiler diagnostic, trimmed to one readable block. */
+std::string
+diagnostic(const std::string &err_path)
+{
+    std::string diag = readFile(err_path);
+    if (diag.size() > 2000)
+        diag.resize(2000);
+    while (!diag.empty() && (diag.back() == '\n' || diag.back() == '\r'))
+        diag.pop_back();
+    return diag;
 }
 
 /** Cache key: design hash + everything that changes the built object
@@ -72,6 +159,13 @@ CompiledKernel::~CompiledKernel()
 {
     if (_dl)
         ::dlclose(_dl);
+}
+
+int
+jitUnitCount(size_t kernel_bytes)
+{
+    size_t k = (kernel_bytes + kJitUnitBytes - 1) / kJitUnitBytes;
+    return static_cast<int>(std::clamp<size_t>(k, 1, kJitMaxUnits));
 }
 
 std::string
@@ -124,54 +218,94 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
         return res;
     }
     std::string dir = tmpl.data();
-    std::string src = dir + "/kernel.cpp";
-    std::string so = dir + "/kernel.so";
-    std::string err = dir + "/cc.err";
-    {
-        std::string unit = emitCppKernel(nl, "jit");
-        res.source_bytes = unit.size();
-        std::ofstream out(src);
-        out << unit;
-        if (!out) {
-            res.error = "failed to write " + src;
-            removeTree(dir);
-            return res;
-        }
-    }
-
-    // Very large generated units (multi-MB crossbars) gain nothing
-    // measurable from -O2's inliner here but pay minutes of compile
-    // wall-time for it; cap them at -O1.  The cache key keeps the
-    // *requested* level, so the policy is transparent to callers.
-    int opt = opts.opt_level;
-    if (opt > 1 && res.source_bytes > 2u << 20)
-        opt = 1;
-    std::string cmd = strfmt(
-        "%s -std=c++17 -O%d -fPIC -shared -fno-exceptions -fno-rtti "
-        "-g0 -o %s %s 2> %s",
-        cxx.c_str(), opt, so.c_str(), src.c_str(),
-        err.c_str());
-    if (std::system(cmd.c_str()) != 0) {
-        std::string diag = readFile(err);
-        if (diag.size() > 2000)
-            diag.resize(2000);
-        while (!diag.empty() &&
-               (diag.back() == '\n' || diag.back() == '\r'))
-            diag.pop_back();
-        res.error = "kernel compile failed (" + cxx + "): " + diag;
+    auto fail = [&](std::string why) {
+        res.error = std::move(why);
         if (!opts.keep_files)
             removeTree(dir);
         return res;
+    };
+
+    // The whole kernel's size picks both the unit count and the
+    // optimisation level, so neither depends on how it is split.
+    std::vector<std::string> units = emitCppKernelUnits(nl, "jit", 1);
+    size_t kernel_bytes = units[0].size();
+    int k = jitUnitCount(kernel_bytes);
+    if (k > 1)
+        units = emitCppKernelUnits(nl, "jit", k);
+
+    // Very large kernels (multi-MB crossbars) gain nothing measurable
+    // from -O2's inliner here but pay minutes of compile wall-time for
+    // it; cap them at -O1.  The cache key keeps the *requested* level,
+    // so the policy is transparent to callers.
+    int opt = opts.opt_level;
+    if (opt > 1 && kernel_bytes > 2u << 20)
+        opt = 1;
+
+    // Start every unit's compile before waiting on any of them; the
+    // units are independent until the link.
+    std::vector<pid_t> pids;
+    std::string spawn_error;
+    for (int u = 0; u < k; u++) {
+        std::string stem = dir + "/unit" + std::to_string(u);
+        res.source_bytes += units[static_cast<size_t>(u)].size();
+        std::ofstream out(stem + ".cpp");
+        out << units[static_cast<size_t>(u)];
+        out.close();
+        if (!out) {
+            spawn_error = "failed to write " + stem + ".cpp";
+            break;
+        }
+        std::string cmd = strfmt(
+            "%s -std=c++17 -O%d -fPIC -fno-exceptions -fno-rtti -g0 "
+            "-c -o %s %s",
+            cxx.c_str(), opt, shellQuote(stem + ".o").c_str(),
+            shellQuote(stem + ".cpp").c_str());
+        pid_t pid = spawnShell(cmd, stem + ".err");
+        if (pid < 0) {
+            spawn_error =
+                strfmt("could not start the compiler for unit %d", u);
+            break;
+        }
+        pids.push_back(pid);
     }
+    // Reap every child before reporting anything, so a failure never
+    // orphans the others; the first failing unit names the error.
+    std::string compile_error;
+    for (size_t u = 0; u < pids.size(); u++) {
+        int status = reap(pids[u]);
+        if (status == 0 || !compile_error.empty())
+            continue;
+        std::string err = dir + "/unit" + std::to_string(u) + ".err";
+        compile_error = strfmt("kernel compile failed (%s): unit %zu of "
+                               "%d %s: ",
+                               cxx.c_str(), u, k,
+                               describeStatus(status).c_str()) +
+                        diagnostic(err);
+    }
+    if (!spawn_error.empty())
+        return fail(spawn_error);
+    if (!compile_error.empty())
+        return fail(compile_error);
+
+    std::string so = dir + "/kernel.so";
+    std::string link =
+        strfmt("%s -shared -o %s", cxx.c_str(), shellQuote(so).c_str());
+    for (int u = 0; u < k; u++)
+        link += " " + shellQuote(dir + "/unit" + std::to_string(u) + ".o");
+    pid_t link_pid = spawnShell(link, dir + "/link.err");
+    if (link_pid < 0)
+        return fail("could not start the kernel link");
+    int link_status = reap(link_pid);
+    if (link_status != 0)
+        return fail(strfmt("kernel link failed (%s): %s: ", cxx.c_str(),
+                           describeStatus(link_status).c_str()) +
+                    diagnostic(dir + "/link.err"));
 
     void *dl = ::dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
     if (!dl) {
         const char *why = ::dlerror();
-        res.error = std::string("dlopen failed: ") +
-                    (why ? why : "unknown");
-        if (!opts.keep_files)
-            removeTree(dir);
-        return res;
+        return fail(std::string("dlopen failed: ") +
+                    (why ? why : "unknown"));
     }
     // The mapping survives the unlink; clean up eagerly so nothing
     // litters /tmp even if the process dies later.

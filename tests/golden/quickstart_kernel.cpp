@@ -1,6 +1,6 @@
 // Generated by anvilc --emit-cpp; design 'ping_server'.
 // Implements AnvilKernelV2 (see src/rtl/kernel_abi.h and docs/compile.md);
-// compile with: c++ -O2 -fPIC -shared -o kernel.so <this file>
+// compile with: c++ -std=c++17 -O2 -fPIC -shared -o kernel.so <this file>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -31,49 +31,11 @@ typedef struct AnvilKernelV2 {
 const AnvilKernelV2 *anvil_kernel_v2(void);
 }
 
-namespace {
+#pragma GCC visibility push(hidden)
+namespace anvil_kernel {
 
 enum : uint32_t { kNets = 42u, kLevels = 8u, kStrictNodes = 23u };
 enum : uint64_t { kStateWords = 42ull };
-
-static const uint32_t kOff[kNets] = {
-    0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,
-    16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,
-    32,33,34,35,36,37,38,39,40,41,
-};
-
-static const uint64_t kInit[kStateWords] = {
-    0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,
-    0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,
-    0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,
-    0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x1ull,0x1ull,
-    0x1ull,0x0ull,0x0ull,0x1ull,0x0ull,0x1ull,0x1ull,0x0ull,
-    0x0ull,0x1ull,
-};
-
-static const uint32_t kConsBegin[kNets + 1] = {
-    0,1,2,3,4,5,6,7,8,9,10,10,11,12,12,13,
-    13,13,13,14,15,18,20,24,26,26,27,27,28,28,29,29,
-    29,29,30,30,30,30,30,30,31,31,31,
-};
-static const int32_t kConsNet[31] = {
-    11,21,23,27,18,20,12,22,14,20,36,22,19,19,9,21,
-    25,34,10,33,23,27,29,40,13,39,15,16,17,34,40,
-};
-
-static const uint32_t kLevelOf[kNets] = {
-    0,0,0,0,0,0,0,0,0,3,6,1,1,4,1,6,
-    4,4,1,2,4,5,2,3,0,5,0,3,0,3,0,0,
-    0,6,7,0,2,0,0,4,5,0,
-};
-static const uint32_t kSlotOf[kNets] = {
-    0,0,0,0,0,0,0,0,0,0,0,0,1,0,2,1,
-    1,2,3,0,3,0,1,1,0,1,0,2,0,3,0,0,
-    0,2,0,0,2,0,0,4,2,0,
-};
-static const uint32_t kBmOff[kLevels + 1] = {
-    0,0,1,2,3,4,5,6,7,
-};
 enum : uint32_t { kBmWords = 7u };
 
 
@@ -323,44 +285,13 @@ struct Ctx
     uint64_t lvl_ev[kLevels ? kLevels : 1];  // evals per level
 };
 
-/* Queue the strict consumers of a changed net: set their slot bits.
- * The bitmap dedupes by construction (setting a set bit is a no-op),
- * so no epoch bookkeeping is needed; wn[] only over-counts repeat
- * enqueues, and is read as "level non-empty" plus an escalation
- * heuristic, where an over-count is harmless. */
-static inline void enq(Ctx *c, int32_t id)
-{
-    for (uint32_t k = kConsBegin[id]; k < kConsBegin[id + 1]; k++) {
-        int32_t t = kConsNet[k];
-        uint32_t s = kSlotOf[t];
-        c->wbm[kBmOff[kLevelOf[t]] + (s >> 6)] |= 1ull << (s & 63);
-        c->wn[kLevelOf[t]]++;
-    }
-}
-
-/* Sparse-path change: record it and propagate (change-cutting — an
- * unchanged recompute never reaches here, so consumers stay idle).
- * Deliberately NOT inlined: the hooks appear in every node body, and
- * keeping the bodies at compare + store + call is what keeps the
- * level functions resident in the i-cache on multi-MB designs — the
- * call costs a couple of ns and only on an actual change. */
-static __attribute__((noinline)) void onChange(Ctx *c, int32_t id)
-{
-    c->out[c->nout++] = id;
-    enq(c, id);
-}
-
-/* Dense-evaluated change: record it, and feed downstream worklists
- * unless the whole frame is dense (then every node runs anyway).  A
- * single level can escalate to its straight-line body inside an
- * otherwise sparse frame when its queue is a large fraction of the
- * level, so later levels still rely on exact queues. */
-static __attribute__((noinline)) void onChangeD(Ctx *c, int32_t id)
-{
-    c->out[c->nout++] = id;
-    if (!c->fdense)
-        enq(c, id);
-}
+/* Change hooks, defined once in unit 0.  Deliberately NOT inlined: they
+ * appear in every node body, and keeping the bodies at compare + store
+ * + call is what keeps the level functions resident in the i-cache on
+ * multi-MB designs — the call costs a couple of ns and only on an
+ * actual change. */
+__attribute__((noinline)) void onChange(Ctx *c, int32_t id);
+__attribute__((noinline)) void onChangeD(Ctx *c, int32_t id);
 
 static inline void w_store(Ctx *c, int32_t id, uint64_t *dst,
                            const uint64_t *t, uint32_t words)
@@ -379,9 +310,99 @@ static inline void w_stored(Ctx *c, int32_t id, uint64_t *dst,
         onChangeD(c, id);
     }
 }
+static const uint32_t kOff[kNets] = {
+    0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,
+    16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,
+    32,33,34,35,36,37,38,39,40,41,
+};
+
+static const uint64_t kInit[kStateWords] = {
+    0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,
+    0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,
+    0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,
+    0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x0ull,0x1ull,0x1ull,
+    0x1ull,0x0ull,0x0ull,0x1ull,0x0ull,0x1ull,0x1ull,0x0ull,
+    0x0ull,0x1ull,
+};
+
+static const uint32_t kConsBegin[kNets + 1] = {
+    0,1,2,3,4,5,6,7,8,9,10,10,11,12,12,13,
+    13,13,13,14,15,18,20,24,26,26,27,27,28,28,29,29,
+    29,29,30,30,30,30,30,30,31,31,31,
+};
+static const int32_t kConsNet[31] = {
+    11,21,23,27,18,20,12,22,14,20,36,22,19,19,9,21,
+    25,34,10,33,23,27,29,40,13,39,15,16,17,34,40,
+};
+
+static const uint32_t kLevelOf[kNets] = {
+    0,0,0,0,0,0,0,0,0,3,6,1,1,4,1,6,
+    4,4,1,2,4,5,2,3,0,5,0,3,0,3,0,0,
+    0,6,7,0,2,0,0,4,5,0,
+};
+static const uint32_t kSlotOf[kNets] = {
+    0,0,0,0,0,0,0,0,0,0,0,0,1,0,2,1,
+    1,2,3,0,3,0,1,1,0,1,0,2,0,3,0,0,
+    0,2,0,0,2,0,0,4,2,0,
+};
+static const uint32_t kBmOff[kLevels + 1] = {
+    0,0,1,2,3,4,5,6,7,
+};
+
+
+/* Queue the strict consumers of a changed net: set their slot bits.
+ * The bitmap dedupes by construction (setting a set bit is a no-op),
+ * so no epoch bookkeeping is needed; wn[] only over-counts repeat
+ * enqueues, and is read as "level non-empty" plus an escalation
+ * heuristic, where an over-count is harmless. */
+static inline void enq(Ctx *c, int32_t id)
+{
+    for (uint32_t k = kConsBegin[id]; k < kConsBegin[id + 1]; k++) {
+        int32_t t = kConsNet[k];
+        uint32_t s = kSlotOf[t];
+        c->wbm[kBmOff[kLevelOf[t]] + (s >> 6)] |= 1ull << (s & 63);
+        c->wn[kLevelOf[t]]++;
+    }
+}
+
+/* Sparse-path change: record it and propagate (change-cutting — an
+ * unchanged recompute never reaches here, so consumers stay idle). */
+void onChange(Ctx *c, int32_t id)
+{
+    c->out[c->nout++] = id;
+    enq(c, id);
+}
+
+/* Dense-evaluated change: record it, and feed downstream worklists
+ * unless the whole frame is dense (then every node runs anyway).  A
+ * single level can escalate to its straight-line body inside an
+ * otherwise sparse frame when its queue is a large fraction of the
+ * level, so later levels still rely on exact queues. */
+void onChangeD(Ctx *c, int32_t id)
+{
+    c->out[c->nout++] = id;
+    if (!c->fdense)
+        enq(c, id);
+}
+
+/* Level functions, dealt out across the units. */
+uint64_t lvl_s_1(Ctx *c);
+uint64_t lvl_s_2(Ctx *c);
+uint64_t lvl_s_3(Ctx *c);
+uint64_t lvl_s_4(Ctx *c);
+uint64_t lvl_s_5(Ctx *c);
+uint64_t lvl_s_6(Ctx *c);
+uint64_t lvl_s_7(Ctx *c);
+uint64_t lvl_d_1(Ctx *c);
+uint64_t lvl_d_2(Ctx *c);
+uint64_t lvl_d_3(Ctx *c);
+uint64_t lvl_d_4(Ctx *c);
+uint64_t lvl_d_5(Ctx *c);
+uint64_t lvl_d_6(Ctx *c);
+uint64_t lvl_d_7(Ctx *c);
 
 /* level 1: 4 nodes, bitmap words [0, 1) */
-static uint64_t lvl_s_1(Ctx *c)
+uint64_t lvl_s_1(Ctx *c)
 {
     uint64_t ev = 0;
     c->wn[1] = 0;
@@ -418,7 +439,7 @@ static uint64_t lvl_s_1(Ctx *c)
 }
 
 /* level 2: 3 nodes, bitmap words [1, 2) */
-static uint64_t lvl_s_2(Ctx *c)
+uint64_t lvl_s_2(Ctx *c)
 {
     uint64_t ev = 0;
     c->wn[2] = 0;
@@ -451,7 +472,7 @@ static uint64_t lvl_s_2(Ctx *c)
 }
 
 /* level 3: 4 nodes, bitmap words [2, 3) */
-static uint64_t lvl_s_3(Ctx *c)
+uint64_t lvl_s_3(Ctx *c)
 {
     uint64_t ev = 0;
     c->wn[3] = 0;
@@ -488,7 +509,7 @@ static uint64_t lvl_s_3(Ctx *c)
 }
 
 /* level 4: 5 nodes, bitmap words [3, 4) */
-static uint64_t lvl_s_4(Ctx *c)
+uint64_t lvl_s_4(Ctx *c)
 {
     uint64_t ev = 0;
     c->wn[4] = 0;
@@ -529,7 +550,7 @@ static uint64_t lvl_s_4(Ctx *c)
 }
 
 /* level 5: 3 nodes, bitmap words [4, 5) */
-static uint64_t lvl_s_5(Ctx *c)
+uint64_t lvl_s_5(Ctx *c)
 {
     uint64_t ev = 0;
     c->wn[5] = 0;
@@ -562,7 +583,7 @@ static uint64_t lvl_s_5(Ctx *c)
 }
 
 /* level 6: 3 nodes, bitmap words [5, 6) */
-static uint64_t lvl_s_6(Ctx *c)
+uint64_t lvl_s_6(Ctx *c)
 {
     uint64_t ev = 0;
     c->wn[6] = 0;
@@ -595,7 +616,7 @@ static uint64_t lvl_s_6(Ctx *c)
 }
 
 /* level 7: 1 nodes, bitmap words [6, 7) */
-static uint64_t lvl_s_7(Ctx *c)
+uint64_t lvl_s_7(Ctx *c)
 {
     uint64_t ev = 0;
     c->wn[7] = 0;
@@ -619,7 +640,7 @@ static uint64_t lvl_s_7(Ctx *c)
     return ev;
 }
 
-static uint64_t lvl_d_1(Ctx *c)
+uint64_t lvl_d_1(Ctx *c)
 {
     uint64_t ev = 0;
     // n11 w8 t0_val0
@@ -633,7 +654,7 @@ static uint64_t lvl_d_1(Ctx *c)
     return ev;
 }
 
-static uint64_t lvl_d_2(Ctx *c)
+uint64_t lvl_d_2(Ctx *c)
 {
     uint64_t ev = 0;
     // n19 w1
@@ -645,7 +666,7 @@ static uint64_t lvl_d_2(Ctx *c)
     return ev;
 }
 
-static uint64_t lvl_d_3(Ctx *c)
+uint64_t lvl_d_3(Ctx *c)
 {
     uint64_t ev = 0;
     // n9 w1 t0_ev0
@@ -659,7 +680,7 @@ static uint64_t lvl_d_3(Ctx *c)
     return ev;
 }
 
-static uint64_t lvl_d_4(Ctx *c)
+uint64_t lvl_d_4(Ctx *c)
 {
     uint64_t ev = 0;
     // n13 w1 t0_ev3
@@ -675,7 +696,7 @@ static uint64_t lvl_d_4(Ctx *c)
     return ev;
 }
 
-static uint64_t lvl_d_5(Ctx *c)
+uint64_t lvl_d_5(Ctx *c)
 {
     uint64_t ev = 0;
     // n21 w1
@@ -687,7 +708,7 @@ static uint64_t lvl_d_5(Ctx *c)
     return ev;
 }
 
-static uint64_t lvl_d_6(Ctx *c)
+uint64_t lvl_d_6(Ctx *c)
 {
     uint64_t ev = 0;
     // n10 w1 t0_ev1
@@ -699,7 +720,7 @@ static uint64_t lvl_d_6(Ctx *c)
     return ev;
 }
 
-static uint64_t lvl_d_7(Ctx *c)
+uint64_t lvl_d_7(Ctx *c)
 {
     uint64_t ev = 0;
     // n34 w1
@@ -875,10 +896,11 @@ static const AnvilKernelV2 kKernel = {
     kLevels, k_level_stats,
 };
 
-} // namespace
+} // namespace anvil_kernel
+#pragma GCC visibility pop
 
 extern "C" const AnvilKernelV2 *
 anvil_kernel_v2(void)
 {
-    return &kKernel;
+    return &anvil_kernel::kKernel;
 }

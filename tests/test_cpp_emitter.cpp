@@ -1,23 +1,28 @@
 /**
  * @file
  * Compiled C++ backend: golden emitted-kernel snapshot for the
- * quickstart design, JIT round-trip behaviour against the
- * interpreter, kernel ABI invariants, and the no-compiler fallback
- * path (a broken ANVIL_CXX must degrade to the interpreter, never
- * fail the run).
+ * quickstart design, the split into translation units, JIT round-trip
+ * behaviour against the interpreter, kernel ABI invariants, temp-dir
+ * hygiene, and the failure paths (a broken ANVIL_CXX or one failing
+ * unit must degrade to the interpreter, never fail the run).
  */
 
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "codegen/cpp_emitter.h"
 #include "codegen/jit.h"
+#include "designs/designs.h"
 #include "harness.h"
 #include "rtl/interp.h"
 
@@ -49,6 +54,50 @@ quickstartModule()
         return nullptr;
     return anvil::testing::compileDesign(src, "ping_server");
 }
+
+/** Entries of a directory, without "." and "..". */
+std::vector<std::string>
+listDir(const std::string &dir)
+{
+    std::vector<std::string> names;
+    if (DIR *d = ::opendir(dir.c_str())) {
+        while (struct dirent *e = ::readdir(d)) {
+            std::string n = e->d_name;
+            if (n != "." && n != "..")
+                names.push_back(n);
+        }
+        ::closedir(d);
+    }
+    return names;
+}
+
+/** Sets an environment variable for one scope, restoring it after. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const std::string &value) : _name(name)
+    {
+        const char *old = std::getenv(name);
+        _had = old != nullptr;
+        if (old)
+            _old = old;
+        ::setenv(name, value.c_str(), 1);
+    }
+    ~ScopedEnv()
+    {
+        if (_had)
+            ::setenv(_name, _old.c_str(), 1);
+        else
+            ::unsetenv(_name);
+    }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *_name;
+    bool _had = false;
+    std::string _old;
+};
 
 /** Deterministic quickstart stimulus (same shape as the VCD golden). */
 void
@@ -250,6 +299,170 @@ TEST(CppEmitter, JitHonorsTmpdir)
     }
     EXPECT_TRUE(found)
         << "no anvil-jit-* work dir under " << scratch;
+}
+
+TEST(CppEmitter, UnitsPartitionLevelFunctions)
+{
+    auto qs = quickstartModule();
+    ASSERT_NE(qs, nullptr);
+    for (const ModulePtr &mod : {qs, designs::buildAesBaseline()}) {
+        Netlist nl(*mod);
+        // Two functions per non-empty level.
+        std::map<std::string, int> want;
+        for (size_t l = 0; l + 1 < nl.levelBegin().size(); l++)
+            if (nl.levelBegin()[l + 1] > nl.levelBegin()[l]) {
+                want["s" + std::to_string(l)] = 1;
+                want["d" + std::to_string(l)] = 1;
+            }
+        ASSERT_FALSE(want.empty());
+        for (int k = 1; k <= 4; k++) {
+            std::vector<std::string> units =
+                codegen::emitCppKernelUnits(nl, mod->name, k);
+            ASSERT_EQ(units.size(), static_cast<size_t>(k));
+            std::map<std::string, int> got;
+            for (size_t u = 0; u < units.size(); u++) {
+                const std::string &src = units[u];
+                // Definitions, not the declarations unit 0 also has.
+                const std::string head = "\nuint64_t lvl_";
+                const std::string body = "(Ctx *c)\n{";
+                for (size_t at = src.find(head); at != std::string::npos;
+                     at = src.find(head, at + 1)) {
+                    size_t name = at + head.size();
+                    size_t paren = src.find('(', name);
+                    if (src.compare(paren, body.size(), body) == 0)
+                        got[src.substr(name, 1) +
+                            src.substr(name + 2, paren - name - 2)]++;
+                }
+                // Tables, ROMs, the eval loop, and the entry point are
+                // defined in unit 0 only.
+                bool first = u == 0;
+                EXPECT_EQ(src.find("static const uint32_t kOff[") !=
+                              std::string::npos,
+                          first)
+                    << "k=" << k << " unit " << u;
+                EXPECT_EQ(src.find("static uint64_t do_eval(") !=
+                              std::string::npos,
+                          first)
+                    << "k=" << k << " unit " << u;
+                EXPECT_EQ(src.find("anvil_kernel_v2(void)\n{") !=
+                              std::string::npos,
+                          first)
+                    << "k=" << k << " unit " << u;
+                EXPECT_EQ(src.find("\nconst uint64_t kRom") !=
+                              std::string::npos,
+                          first && mod != qs)
+                    << "k=" << k << " unit " << u;
+            }
+            EXPECT_EQ(got, want) << mod->name << " k=" << k;
+        }
+        EXPECT_EQ(codegen::emitCppKernel(nl, mod->name),
+                  codegen::emitCppKernelUnits(nl, mod->name, 1)[0]);
+    }
+}
+
+TEST(CppEmitter, UnitCountFollowsKernelSize)
+{
+    EXPECT_EQ(codegen::jitUnitCount(0), 1);
+    EXPECT_EQ(codegen::jitUnitCount(codegen::kJitUnitBytes), 1);
+    EXPECT_EQ(codegen::jitUnitCount(codegen::kJitUnitBytes + 1), 2);
+    EXPECT_EQ(codegen::jitUnitCount(100 * codegen::kJitUnitBytes),
+              static_cast<int>(codegen::kJitMaxUnits));
+
+    auto unitsFor = [](const ModulePtr &mod) {
+        Netlist nl(*mod);
+        return codegen::jitUnitCount(
+            codegen::emitCppKernel(nl, mod->name).size());
+    };
+    auto qs = quickstartModule();
+    ASSERT_NE(qs, nullptr);
+    EXPECT_EQ(unitsFor(qs), 1);
+    // The large kernels the differential matrix compiles are split.
+    EXPECT_GT(unitsFor(designs::buildAesBaseline()), 1);
+    EXPECT_GT(unitsFor(designs::buildAxiXbarBaseline(4, 4)), 1);
+    EXPECT_GT(unitsFor(designs::buildSetAssocTlbBaseline(4, 32)), 1);
+}
+
+TEST(CppEmitter, JitHandlesTmpdirWithSpace)
+{
+    if (codegen::jitCompilerPath().empty())
+        GTEST_SKIP() << "no system compiler available";
+    auto mod = quickstartModule();
+    ASSERT_NE(mod, nullptr);
+    Sim sim(mod);
+
+    char tmpl[] = "/tmp/anvil-space-test-XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    std::string spaced = std::string(tmpl) + "/sp ace";
+    ASSERT_EQ(::mkdir(spaced.c_str(), 0700), 0);
+
+    codegen::JitResult jr;
+    {
+        ScopedEnv env("TMPDIR", spaced);
+        codegen::JitOptions jo;
+        jo.opt_level = 1;
+        jo.emitter_tag = codegen::kCppEmitterVersion + 2000;
+        jr = codegen::jitCompileKernel(sim.netlist(), jo);
+    }
+    EXPECT_NE(jr.kernel, nullptr) << jr.error;
+    EXPECT_TRUE(sim.attachKernel(codegen::kernelRef(jr.kernel)));
+    // Nothing is left behind after a successful compile.
+    EXPECT_TRUE(listDir(spaced).empty());
+    ::rmdir(spaced.c_str());
+    ::rmdir(tmpl);
+}
+
+TEST(CppEmitter, FailingUnitReapsChildrenAndCleansUp)
+{
+    // A compiler wrapper that fails on unit 1 alone; every other
+    // compile is slow and succeeds, so units 2.. are still running
+    // when the failure is seen and must be reaped, not orphaned.
+    Sim sim(designs::buildAxiXbarBaseline(4, 4));
+    ASSERT_GT(codegen::jitUnitCount(
+                  codegen::emitCppKernel(sim.netlist(), "xbar").size()),
+              2);
+
+    char wtmpl[] = "/tmp/anvil-cxx-wrap-XXXXXX";
+    ASSERT_NE(::mkdtemp(wtmpl), nullptr);
+    std::string wrapper = std::string(wtmpl) + "/cxx";
+    {
+        std::ofstream w(wrapper);
+        w << "#!/bin/sh\n"
+             "case \"$*\" in\n"
+             "  */unit1.cpp*) echo 'injected unit failure' >&2; exit 7 ;;\n"
+             "esac\n"
+             "sleep 1\n"
+             "exit 0\n";
+    }
+    ASSERT_EQ(::chmod(wrapper.c_str(), 0755), 0);
+    char ttmpl[] = "/tmp/anvil-fail-test-XXXXXX";
+    ASSERT_NE(::mkdtemp(ttmpl), nullptr);
+
+    codegen::JitResult jr;
+    {
+        ScopedEnv cxx("ANVIL_CXX", wrapper);
+        ScopedEnv tmp("TMPDIR", ttmpl);
+        codegen::JitOptions jo;
+        jo.emitter_tag = codegen::kCppEmitterVersion + 3000;
+        jr = codegen::jitCompileKernel(sim.netlist(), jo);
+    }
+    EXPECT_EQ(jr.kernel, nullptr);
+    EXPECT_NE(jr.error.find("unit 1 "), std::string::npos) << jr.error;
+    EXPECT_NE(jr.error.find("exited with status 7"), std::string::npos)
+        << jr.error;
+    EXPECT_NE(jr.error.find("injected unit failure"), std::string::npos)
+        << jr.error;
+
+    // No compiler child is left unreaped ...
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+    // ... and the work dir is gone with everything in it.
+    EXPECT_TRUE(listDir(ttmpl).empty());
+
+    ::rmdir(ttmpl);
+    ::unlink(wrapper.c_str());
+    ::rmdir(wtmpl);
+    EXPECT_FALSE(sim.attachKernel(codegen::kernelRef(jr.kernel)));
 }
 
 TEST(CppEmitter, BrokenCompilerFallsBackToInterpreter)
