@@ -23,8 +23,7 @@
  *     --events <f>   write the run's live telemetry event stream
  *                    ("anvil-events-v1" JSONL); with --farm, one
  *                    stream per worker at <f>.<worker>
- *     --sweep <m>    sweep mode: full, dirty (default), or
- *                    threaded[:N] with N worker threads
+ *     --sweep <m>    interpreter sweep mode: full or dirty (default)
  *     --emit-cpp     dump the design's compiled-sim C++ kernel
  *                    (kernel_abi.h translation unit) to stdout, or
  *                    to -o <file> if given
@@ -164,8 +163,7 @@ usage()
             "  --seed-base <S> first farm worker seed\n"
             "  --events <f>   write the live telemetry event stream\n"
             "                 (JSONL; --farm: <f>.<worker>)\n"
-            "  --sweep <m>    sweep mode: full, dirty (default),\n"
-            "                 or threaded[:N]\n"
+            "  --sweep <m>    sweep mode: full or dirty (default)\n"
             "  --emit-cpp     dump the compiled-sim C++ kernel\n"
             "  --backend <b>  sim backend: interp (default) or\n"
             "                 compiled (JIT via the system compiler;\n"
@@ -246,10 +244,9 @@ resolveContracts(const std::vector<std::string> &spec_texts,
     return true;
 }
 
-/** Parse a --sweep argument: full, dirty, or threaded[:N]. */
+/** Parse a --sweep argument: full or dirty. */
 bool
-parseSweepMode(const std::string &text, rtl::SweepMode *mode,
-               int *threads)
+parseSweepMode(const std::string &text, rtl::SweepMode *mode)
 {
     if (text == "full") {
         *mode = rtl::SweepMode::Full;
@@ -258,18 +255,6 @@ parseSweepMode(const std::string &text, rtl::SweepMode *mode,
     if (text == "dirty") {
         *mode = rtl::SweepMode::Dirty;
         return true;
-    }
-    if (text.rfind("threaded", 0) == 0) {
-        *mode = rtl::SweepMode::Threaded;
-        if (text.size() == 8)
-            return true;   // default worker count
-        if (text[8] == ':') {
-            int n = atoi(text.c_str() + 9);
-            if (n >= 1) {
-                *threads = n;
-                return true;
-            }
-        }
     }
     return false;
 }
@@ -416,13 +401,13 @@ finishRun(tb::Testbench &bench, uint64_t cycles,
             : 0.0;
         // Always name the backend actually used: a silent JIT
         // fallback must be visible here, not just in stats-json.
-        printf("sweep: mode=%s backend=%s threads=%d strict-nodes=%zu "
+        // threads=1 is a fixed literal: the sweep is single-threaded.
+        printf("sweep: mode=%s backend=%s threads=1 strict-nodes=%zu "
                "evaluated/cycle avg=%.1f peak=%llu "
                "changed-nets/cycle avg=%.1f peak=%llu "
                "activity=%.1f%%\n",
                rtl::sweepModeName(ss.mode),
                bench.sim().kernelAttached() ? "compiled" : "interp",
-               ss.threads,
                ss.strict_nodes, ss.avgNodes(),
                (unsigned long long)ss.peak_nodes, ss.avgChanged(),
                (unsigned long long)ss.peak_changed, act);
@@ -532,10 +517,11 @@ finishRun(tb::Testbench &bench, uint64_t cycles,
                 ? static_cast<double>(result.cycles) * 1e9 /
                     static_cast<double>(wall_ns)
                 : 0.0;
+            // "threads" stays in anvil-stats-v1, fixed at 1.
             printf("stats-json {\"schema\":\"anvil-stats-v1\","
                    "\"design\":\"%s\",\"cycles\":%llu,"
                    "\"backend\":\"%s\",\"sweep\":\"%s\","
-                   "\"threads\":%d,\"activity_pct\":%.2f,"
+                   "\"threads\":1,\"activity_pct\":%.2f,"
                    "\"toggles\":%llu,\"failures\":%zu,"
                    "\"wall_ns\":%llu,\"cycles_per_sec\":%.0f,"
                    "\"coverage\":%s}\n",
@@ -543,7 +529,7 @@ finishRun(tb::Testbench &bench, uint64_t cycles,
                    (unsigned long long)result.cycles,
                    bench.sim().kernelAttached() ? "compiled"
                                                 : "interp",
-                   rtl::sweepModeName(ss.mode), ss.threads, act,
+                   rtl::sweepModeName(ss.mode), act,
                    (unsigned long long)bench.sim().totalToggles(),
                    result.failures.size(),
                    (unsigned long long)wall_ns, cps,
@@ -566,11 +552,11 @@ simulate(const rtl::ModulePtr &mod, long cycles, uint64_t seed,
          bool contracts,
          const std::vector<std::string> &contract_specs,
          const formal::ContractSet *typed,
-         rtl::SweepMode sweep_mode, int sweep_threads,
-         bool compiled_backend, const ObsOptions &oo)
+         rtl::SweepMode sweep_mode, bool compiled_backend,
+         const ObsOptions &oo)
 {
     tb::Testbench bench(mod, seed);
-    bench.sim().setSweepMode(sweep_mode, sweep_threads);
+    bench.sim().setSweepMode(sweep_mode);
     if (!oo.hot_path.empty())
         bench.sim().setEvalCounting(true);
     codegen::JitResult jit;
@@ -634,8 +620,7 @@ simulate(const rtl::ModulePtr &mod, long cycles, uint64_t seed,
                     /*window=*/64, sink.get())));
         sink->runBegin(bench.sim().topName(), /*worker=*/0, seed,
                        static_cast<uint64_t>(cycles),
-                       bench.sim().sweepMode(),
-                       bench.sim().sweepStats().threads);
+                       bench.sim().sweepMode());
     }
 
     // Flight recorder last: its trigger poll must see the cycle's
@@ -712,7 +697,7 @@ farm(const rtl::ModulePtr &mod, long cycles, int workers,
      uint64_t seed_base, bool cov, bool stats, bool contracts,
      const std::vector<std::string> &contract_specs,
      const formal::ContractSet *typed, rtl::SweepMode sweep_mode,
-     int sweep_threads, bool compiled_backend, const ObsOptions &oo)
+     bool compiled_backend, const ObsOptions &oo)
 {
     run::FarmConfig fc;
     fc.top = mod;
@@ -721,7 +706,6 @@ farm(const rtl::ModulePtr &mod, long cycles, int workers,
     fc.seed_base = seed_base;
     fc.cycles = static_cast<uint64_t>(cycles);
     fc.sweep_mode = sweep_mode;
-    fc.sweep_threads = sweep_threads;
     fc.compiled_backend = compiled_backend;
     fc.coverage = cov || stats ||
                   (oo.flight && oo.coverTriggered());
@@ -832,8 +816,8 @@ replay(const rtl::ModulePtr &mod, const std::string &dump_path,
        bool stats, bool contracts,
        const std::vector<std::string> &contract_specs,
        const formal::ContractSet *typed,
-       rtl::SweepMode sweep_mode, int sweep_threads,
-       bool compiled_backend, const ObsOptions &oo)
+       rtl::SweepMode sweep_mode, bool compiled_backend,
+       const ObsOptions &oo)
 {
     trace::Trace t;
     try {
@@ -845,7 +829,7 @@ replay(const rtl::ModulePtr &mod, const std::string &dump_path,
     }
 
     tb::Testbench bench(mod);
-    bench.sim().setSweepMode(sweep_mode, sweep_threads);
+    bench.sim().setSweepMode(sweep_mode);
     if (!oo.hot_path.empty())
         bench.sim().setEvalCounting(true);
     codegen::JitResult jit;
@@ -990,8 +974,7 @@ proveDesign(const rtl::ModulePtr &mod,
             const std::vector<std::string> &contract_specs,
             const formal::ContractSet *typed, bool print_contracts,
             int prove_k, bool detailed, const std::string &vcd_path,
-            rtl::SweepMode sweep_mode, int sweep_threads,
-            const ObsOptions &oo)
+            rtl::SweepMode sweep_mode, const ObsOptions &oo)
 {
     rtl::Sim sim(mod);
     std::vector<trace::ContractSpec> specs;
@@ -1010,7 +993,6 @@ proveDesign(const rtl::ModulePtr &mod,
     if (prove_k > 0)
         opts.k_max = prove_k;
     opts.sweep_mode = sweep_mode;
-    opts.sweep_threads = sweep_threads;
     // The prover reports into the same telemetry spine as a
     // simulation run: per-obligation phase windows onto the profiler,
     // prove.* counters and the states/sec gauge into the registry.
@@ -1080,8 +1062,7 @@ proveDesign(const rtl::ModulePtr &mod,
                     vcd_path.c_str());
             return kExitIo;
         }
-        formal::writeCexVcd(inst, *cex, os, sweep_mode,
-                            sweep_threads);
+        formal::writeCexVcd(inst, *cex, os, sweep_mode);
         if (!os.good()) {
             fprintf(stderr, "anvilc: error writing '%s'\n",
                     vcd_path.c_str());
@@ -1118,7 +1099,6 @@ main(int argc, char **argv)
     uint64_t seed_base = 0;
     bool seed_base_set = false;
     rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
-    int sweep_threads = 0;
     bool sweep_set = false;
     bool emit_cpp = false;
     bool compiled_backend = false;
@@ -1161,11 +1141,10 @@ main(int argc, char **argv)
         } else if (arg == "--events" && i + 1 < argc) {
             oo.events_path = argv[++i];
         } else if (arg == "--sweep" && i + 1 < argc) {
-            if (!parseSweepMode(argv[++i], &sweep_mode,
-                                &sweep_threads)) {
+            if (!parseSweepMode(argv[++i], &sweep_mode)) {
                 fprintf(stderr,
                         "anvilc: bad --sweep mode '%s' (expected "
-                        "full, dirty, or threaded[:N])\n", argv[i]);
+                        "full or dirty)\n", argv[i]);
                 return kExitUsage;
             }
             sweep_set = true;
@@ -1495,8 +1474,7 @@ main(int argc, char **argv)
         if (prove)
             return proveDesign(mod, contract_specs, &typed,
                                contracts, prove_k, prove_report,
-                               vcd_path, sweep_mode, sweep_threads,
-                               oo);
+                               vcd_path, sweep_mode, oo);
         if (!check_trace_path.empty())
             return checkTraceFile(mod, check_trace_path, contracts,
                                   contract_specs, &typed, cov);
@@ -1504,18 +1482,16 @@ main(int argc, char **argv)
             return farm(mod, sim_cycles, farm_workers,
                         seed_base_set ? seed_base : seed, cov,
                         stats, contracts, contract_specs, &typed,
-                        sweep_mode, sweep_threads, compiled_backend,
-                        oo);
+                        sweep_mode, compiled_backend, oo);
         if (!replay_path.empty())
             return replay(mod, replay_path, sim_cycles, vcd_path,
                           cov, stats, contracts, contract_specs,
-                          &typed, sweep_mode, sweep_threads,
-                          compiled_backend, oo);
+                          &typed, sweep_mode, compiled_backend, oo);
         if (sim_cycles > 0)
             return simulate(mod, sim_cycles, seed, vcd_path, cov,
                             stats, contracts, contract_specs,
-                            &typed, sweep_mode, sweep_threads,
-                            compiled_backend, oo);
+                            &typed, sweep_mode, compiled_backend,
+                            oo);
         // --contracts / --contract alone: print the contract set.
         rtl::Sim sim(mod);
         std::vector<trace::ContractSpec> specs;

@@ -101,7 +101,9 @@ collectRunMetrics(obs::MetricsRegistry &reg, tb::Testbench &bench,
     reg.counter("sweep.peak_nodes") = ss.peak_nodes;
     reg.counter("sweep.nets_changed") = ss.nets_changed;
     reg.counter("sweep.peak_changed") = ss.peak_changed;
-    reg.counter("sweep.sharded_levels") = ss.sharded_levels;
+    // Always 0 (the sweep is single-threaded); the counter stays so
+    // metrics remain byte-compatible with recorded runs.
+    reg.counter("sweep.sharded_levels") = 0;
     reg.counter("sweep.kernel_frames") = ss.kernel_frames;
     reg.counter("sweep.dense_fallback_switches") =
         ss.dense_fallback_switches;
@@ -168,7 +170,7 @@ runJob(const JobConfig &cfg)
     // the feed's observer pointers.
     auto bench = std::make_unique<tb::Testbench>(cfg.top, cfg.netlist,
                                                 cfg.seed);
-    bench->sim().setSweepMode(cfg.sweep_mode, cfg.sweep_threads);
+    bench->sim().setSweepMode(cfg.sweep_mode);
     if (cfg.kernel.abi)
         bench->sim().attachKernel(cfg.kernel);   // false: interpreter
 
@@ -245,8 +247,7 @@ runJob(const JobConfig &cfg)
     }
 
     sink.runBegin(bench->sim().topName(), cfg.worker, cfg.seed,
-                  cfg.cycles, bench->sim().sweepMode(),
-                  bench->sim().sweepStats().threads);
+                  cfg.cycles, bench->sim().sweepMode());
 
     uint64_t wall0 = rtl::monotonicNanos();
     tb::TbResult result = bench->run(cfg.cycles);
@@ -306,7 +307,6 @@ runFarm(const FarmConfig &cfg, obs::Merger &merger)
         jc.worker = w;
         jc.cycles = cfg.cycles;
         jc.sweep_mode = cfg.sweep_mode;
-        jc.sweep_threads = cfg.sweep_threads;
         jc.kernel = kernel;
         jc.jit = cfg.compiled_backend ? &jit : nullptr;
         jc.contracts = cfg.contracts;

@@ -94,7 +94,6 @@ struct JobConfig
     int worker = 0;
     uint64_t cycles = 0;
     rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
-    int sweep_threads = 0;
     /** Shared compiled kernel (abi null: interpreter). */
     rtl::KernelRef kernel;
     /** Per-worker jit provenance for the metrics (may be null). */
@@ -146,7 +145,6 @@ struct FarmConfig
     uint64_t seed_base = 1;
     uint64_t cycles = 0;
     rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
-    int sweep_threads = 0;
     bool compiled_backend = false;
     std::vector<trace::ContractSpec> contracts;
     bool coverage = false;

@@ -73,7 +73,7 @@ class EventSink
     /** Stream header: identifies the design, worker, and seed. */
     void runBegin(const std::string &design, int worker,
                   uint64_t seed, uint64_t cycles,
-                  rtl::SweepMode sweep, int threads);
+                  rtl::SweepMode sweep);
 
     /** One contract violation, streamed as it fires. */
     void violation(uint64_t cycle, const std::string &channel,

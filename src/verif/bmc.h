@@ -73,7 +73,6 @@ struct BmcOptions
      *  explore identical state spaces (pinned by the differential
      *  tests); Dirty is fastest for the restore-poke-step pattern. */
     rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
-    int sweep_threads = 0;
     /** Optional compiled kernel (codegen/jit.h) for the simulator.
      *  Attach failures fall back to the interpreter silently; the
      *  explored state space is identical either way. */

@@ -11,7 +11,8 @@
 #     N-seed union: each seed run alone with --events, then merged,
 #  4. `--farm 1` matches a plain single `--sim` run at the same seed,
 #     down to the event stream itself (wall-clock fields excluded),
-#  5. farm flag validation is a usage error, not a silent ignore.
+#  5. farm and --sweep flag validation is a usage error, not a silent
+#     ignore.
 #
 # Usage: cli_farm_e2e.sh <anvilc> <repo-root> <json_validate> <anvil_merge>
 set -e
@@ -132,5 +133,14 @@ grep -q 'requires --sim' farm_usage.log
 test "$?" -eq 2 || { echo "--seed-base without --farm not rejected" \
                      >&2; exit 1; }
 grep -q 'requires --farm' seedbase_usage.log
+# Sweep modes other than full/dirty are usage errors, not ignored.
+for mode in threaded threaded:2; do
+    "$ANVILC" "$DESIGN" --sim 50 --sweep "$mode" 2> sweep_usage.log
+    test "$?" -eq 2 || { echo "--sweep $mode not rejected" >&2; \
+                         exit 1; }
+    grep -qF "bad --sweep mode '$mode' (expected full or dirty)" \
+        sweep_usage.log || { echo "--sweep $mode: wrong diagnostic" \
+                             >&2; exit 1; }
+done
 set -e
 echo "farm flag validation rejects inconsistent invocations"

@@ -111,8 +111,7 @@ runSpine(uint64_t seed, int worker, uint64_t cycles)
             std::make_unique<obs::RollingActivity>(16, &sink)));
 
     sink.runBegin(bench->sim().topName(), worker, seed, cycles,
-                  bench->sim().sweepMode(),
-                  bench->sim().sweepStats().threads);
+                  bench->sim().sweepMode());
     tb::TbResult result = bench->run(cycles);
     bench->feed().finish();
 
@@ -475,7 +474,7 @@ TEST(WindowDumps, SinkRoundTripStampsWorkerAndSeed)
 {
     std::ostringstream es;
     obs::EventSink sink(es);
-    sink.runBegin("d", 3, 99, 10, rtl::SweepMode::Dirty, 0);
+    sink.runBegin("d", 3, 99, 10, rtl::SweepMode::Dirty);
     sink.windowDump(40, "VIOLATION", "flight.w3-0.vcd", 32, 52);
     sink.runEnd(10, 4, 1, 100, false, 50.0);
 

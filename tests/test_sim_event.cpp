@@ -1,8 +1,8 @@
 /**
  * @file
- * Sweep-mode differential matrix: the full, dirty, and threaded
- * sweeps — and, when a system compiler is available, the compiled
- * (JIT kernel) backend — must be bit-identical on every observable
+ * Sweep-mode differential matrix: the full and dirty sweeps — and,
+ * when a system compiler is available, the compiled (JIT kernel)
+ * backend — must be bit-identical on every observable
  * surface — final registers, total toggles, dprint logs, VCD bytes,
  * coverage JSON, and BMC states_explored — across every evaluation
  * design plus the seeded low-activity AXI-crossbar and
@@ -69,12 +69,11 @@ attachJitKernel(Sim &sim)
 }
 
 ModeRun
-runMode(const ModulePtr &mod, SweepMode mode, int threads,
-        size_t shard_min, int cycles, const DriveFn &drive,
-        bool compiled = false)
+runMode(const ModulePtr &mod, SweepMode mode, int cycles,
+        const DriveFn &drive, bool compiled = false)
 {
     Sim sim(mod);
-    sim.setSweepMode(mode, threads, shard_min);
+    sim.setSweepMode(mode);
     if (compiled) {
         attachJitKernel(sim);
         if (!sim.kernelAttached())
@@ -101,32 +100,26 @@ runMode(const ModulePtr &mod, SweepMode mode, int threads,
 }
 
 /**
- * Run all three sweep modes on identical stimulus and require
- * bit-identical observables.  The threaded run forces sharding
- * (shard_min = 1) so the pool is exercised even on small designs.
- * When a system compiler is available a fourth run goes through the
- * JIT-compiled kernel backend and must match too.  Returns the
- * per-mode runs for additional activity assertions (indices 0..2 are
- * always Full/Dirty/Threaded).
+ * Run both sweep modes on identical stimulus and require
+ * bit-identical observables.  When a system compiler is available
+ * further runs go through the JIT-compiled kernel backend and must
+ * match too.  Returns the per-mode runs for additional activity
+ * assertions (indices 0..1 are always Full/Dirty).
  */
 std::vector<ModeRun>
 expectModesAgree(const ModulePtr &mod, int cycles,
                  const std::function<DriveFn()> &make_drive)
 {
     std::vector<ModeRun> runs;
-    runs.push_back(runMode(mod, SweepMode::Full, 0, 256, cycles,
-                           make_drive()));
-    runs.push_back(runMode(mod, SweepMode::Dirty, 0, 256, cycles,
-                           make_drive()));
-    runs.push_back(runMode(mod, SweepMode::Threaded, 2, 1, cycles,
-                           make_drive()));
+    runs.push_back(runMode(mod, SweepMode::Full, cycles, make_drive()));
+    runs.push_back(runMode(mod, SweepMode::Dirty, cycles, make_drive()));
     if (haveJitCompiler()) {
-        runs.push_back(runMode(mod, SweepMode::Dirty, 0, 256, cycles,
+        runs.push_back(runMode(mod, SweepMode::Dirty, cycles,
                                make_drive(), /*compiled=*/true));
         // Forced dense fallback: Full mode drives the kernel's
         // dense per-level functions on every frame, so both halves
         // of the generated scheduler face the whole matrix.
-        runs.push_back(runMode(mod, SweepMode::Full, 0, 256, cycles,
+        runs.push_back(runMode(mod, SweepMode::Full, cycles,
                                make_drive(), /*compiled=*/true));
     }
     const ModeRun &full = runs[0];
@@ -238,7 +231,6 @@ TEST(SweepModes, SparseStimulusCutsEvaluations)
                                  sparseStimulus(21, 8));
     EXPECT_LT(runs[1].stats.nodes_evaluated,
               runs[0].stats.nodes_evaluated / 2);
-    EXPECT_GT(runs[2].stats.sharded_levels, 0u);
 }
 
 TEST(SweepModes, XbarWorkload)
@@ -556,11 +548,9 @@ TEST(SweepModes, BmcStatesIdenticalAcrossModes)
     verif::BmcOptions base;
     base.max_depth = 12;
     std::vector<verif::BmcResult> results;
-    for (SweepMode mode : {SweepMode::Full, SweepMode::Dirty,
-                           SweepMode::Threaded}) {
+    for (SweepMode mode : {SweepMode::Full, SweepMode::Dirty}) {
         verif::BmcOptions opts = base;
         opts.sweep_mode = mode;
-        opts.sweep_threads = 2;
         results.push_back(verif::boundedModelCheck(m, {a}, opts));
     }
     if (haveJitCompiler()) {
@@ -655,7 +645,7 @@ TEST(SweepModes, ModeSwitchMidRunStaysConsistent)
     auto inputs = a.inputNames();
     for (int cyc = 0; cyc < 150; cyc++) {
         if (cyc == 50)
-            b.setSweepMode(SweepMode::Threaded, 2, 1);
+            b.setSweepMode(SweepMode::Full);
         if (cyc == 100)
             b.setSweepMode(SweepMode::Dirty);
         for (const auto &in : inputs) {
