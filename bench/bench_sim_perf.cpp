@@ -327,10 +327,7 @@ runDesign(const std::string &name, const rtl::ModulePtr &mod,
         sim.setSweepMode(rtl::SweepMode::Dirty);
         r.dirty = timedRun(sim, sim_cycles, stim);
         const rtl::SweepStats &st = sim.sweepStats();
-        r.activity_pct = st.cycles && st.strict_nodes
-            ? 100.0 * st.avgNodes() /
-                static_cast<double>(st.strict_nodes)
-            : 0.0;
+        r.activity_pct = st.activityPct();
     }
     auto observed = [&](const ObserverSetup &setup) {
         rtl::Sim sim(mod);

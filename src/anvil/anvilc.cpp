@@ -14,10 +14,10 @@
  *     --sim <N>      simulate N cycles under a seeded random
  *                    testbench after compiling
  *     --seed <S>     testbench seed (default 1)
- *     --farm <N>     run N parallel workers over one shared
- *                    immutable netlist (seeds seed-base .. +N-1),
- *                    stream per-worker telemetry events, and print
- *                    the merged closure report (byte-compatible
+ *     --farm <N>     run N (at most 1024) parallel workers over one
+ *                    shared immutable netlist (seeds seed-base ..
+ *                    +N-1), stream per-worker telemetry events, and
+ *                    print the merged closure report (byte-compatible
  *                    with single-run --cov/--metrics/--stats-json)
  *     --seed-base <S> first farm worker seed (default: --seed)
  *     --events <f>   write the run's live telemetry event stream
@@ -97,15 +97,23 @@
  * inferContracts — design obligations only); otherwise the netlist
  * name-pair guess.
  *
+ * Numeric values are strict: digits only (seeds also take 0x hex),
+ * no sign, nothing trailing, within the flag's range.
+ *
  * Exit codes: 0 success; 1 check failure (type/compile errors,
  * testbench or contract violations, replay or trace divergence,
  * disproved obligations); 2 usage error; 3 I/O error; 4 proof
  * inconclusive (bound or budget reached).
  */
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -114,20 +122,15 @@
 #include "anvil/sim_runner.h"
 #include "codegen/cpp_emitter.h"
 #include "codegen/jit.h"
-#include "obs/activity.h"
 #include "obs/flight.h"
 #include "obs/hot.h"
 #include "obs/merge.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/slice.h"
-#include "obs/stream.h"
-#include "obs/triage.h"
 #include "formal/contracts.h"
 #include "formal/kinduction.h"
 #include "formal/property.h"
 #include "synth/cost_model.h"
-#include "tb/testbench.h"
 #include "trace/contracts.h"
 #include "trace/diff.h"
 #include "trace/replay.h"
@@ -158,8 +161,8 @@ usage()
             "  --sim <N>      simulate N cycles under a random\n"
             "                 testbench\n"
             "  --seed <S>     testbench seed (default 1)\n"
-            "  --farm <N>     N parallel workers over one shared\n"
-            "                 netlist; merged closure report\n"
+            "  --farm <N>     N (<= 1024) parallel workers over one\n"
+            "                 shared netlist; merged closure report\n"
             "  --seed-base <S> first farm worker seed\n"
             "  --events <f>   write the live telemetry event stream\n"
             "                 (JSONL; --farm: <f>.<worker>)\n"
@@ -259,21 +262,106 @@ parseSweepMode(const std::string &text, rtl::SweepMode *mode)
     return false;
 }
 
-/** Observability options threaded through --sim / --replay runs. */
-struct ObsOptions
+/**
+ * Parse the numeric value of `flag` strictly: digits only (no sign,
+ * blank or trailing character) within [lo, hi]; base 0 also takes a
+ * 0x hex or 0 octal prefix.  Prints the diagnostic and returns false
+ * otherwise.
+ */
+bool
+parseNumber(const char *flag, const char *text, uint64_t lo,
+            uint64_t hi, uint64_t *out, int base = 10)
 {
-    std::string metrics_path;    // --metrics
-    std::string profile_path;    // --profile
-    std::string slice_channel;   // --slice
-    std::string events_path;     // --events
-    bool stats_json = false;     // --stats-json
+    bool ok = isdigit(static_cast<unsigned char>(text[0])) != 0;
+    unsigned long long v = 0;
+    if (ok) {
+        char *end = nullptr;
+        errno = 0;
+        v = strtoull(text, &end, base);
+        ok = errno == 0 && *end == '\0' && v >= lo && v <= hi;
+    }
+    if (!ok) {
+        fprintf(stderr,
+                "anvilc: bad %s value '%s' (expected an integer in "
+                "%llu..%llu)\n",
+                flag, text, (unsigned long long)lo,
+                (unsigned long long)hi);
+        return false;
+    }
+    *out = v;
+    return true;
+}
 
-    uint64_t flight = 0;         // --flight K (0: recorder off)
-    uint64_t flight_pre = 0;     // --flight-pre (0: use flight)
-    uint64_t flight_post = 8;    // --flight-post
-    std::vector<std::string> dump_on;   // --dump-on triggers
-    std::string flight_out = "flight";  // --flight-out prefix
-    std::string hot_path;        // --profile-hot
+/** Flush an artifact and announce it on stderr; false (after the
+ *  diagnostic) when the write failed. */
+bool
+closeArtifact(std::ostream &os, const std::string &path)
+{
+    os.flush();
+    if (!os.good()) {
+        fprintf(stderr, "anvilc: cannot write '%s'\n", path.c_str());
+        return false;
+    }
+    fprintf(stderr, "anvilc: wrote %s\n", path.c_str());
+    return true;
+}
+
+/** Write `text` to `path` as one artifact (see closeArtifact). */
+bool
+writeArtifact(const std::string &path, const std::string &text)
+{
+    std::ofstream os(path);
+    os << text;
+    return closeArtifact(os, path);
+}
+
+/** Open an artifact for writing; false (after the diagnostic) when
+ *  it cannot be created. */
+bool
+openArtifact(std::ofstream &os, const std::string &path)
+{
+    os.open(path);
+    if (!os)
+        fprintf(stderr, "anvilc: cannot write '%s'\n", path.c_str());
+    return static_cast<bool>(os);
+}
+
+/** The note for a compiled run that degraded to the interpreter. */
+void
+noteInterpreter(const std::string &why)
+{
+    fprintf(stderr,
+            "anvilc: note: compiled backend unavailable (%s); "
+            "using the interpreter\n",
+            why.c_str());
+}
+
+/**
+ * A simulation request (--sim, --replay, --farm) as parsed: the job
+ * spec shared with the run spine plus what only the driver reads —
+ * the contract sources, the report switches and the artifact paths.
+ */
+struct RunOptions
+{
+    run::JobConfig job;
+    bool compiled_backend = false;              // --backend compiled
+    bool cov = false;                           // --cov
+    bool stats = false;                         // --stats
+    bool stats_json = false;                    // --stats-json
+    bool print_contracts = false;               // --contracts
+    std::vector<std::string> contract_specs;    // --contract
+    const formal::ContractSet *typed = nullptr;
+    std::string vcd_path;                       // --vcd
+    std::string events_path;                    // --events
+    std::string metrics_path;                   // --metrics
+    std::string profile_path;                   // --profile
+    std::string hot_path;                       // --profile-hot
+
+    /** True when contracts are monitored live. */
+    bool monitored() const
+    {
+        return print_contracts || !contract_specs.empty();
+    }
 
     /** True when any telemetry sink is requested. */
     bool telemetry() const
@@ -282,260 +370,123 @@ struct ObsOptions
                stats_json || !events_path.empty();
     }
 
-    /** Pre-trigger window actually used by the recorder. */
-    uint64_t flightPre() const
+    /** Resolve the monitored contract set onto `out`; false on a
+     *  spec syntax error. */
+    bool monitoredContracts(const rtl::Netlist &nl,
+                            std::vector<trace::ContractSpec> *out) const
     {
-        return flight_pre ? flight_pre : flight;
-    }
-
-    /** True when any --dump-on trigger names a cover point. */
-    bool coverTriggered() const
-    {
-        for (const std::string &t : dump_on)
-            if (t.rfind("cover:", 0) == 0)
-                return true;
-        return false;
+        return !monitored() ||
+               resolveContracts(contract_specs, nl, typed,
+                                print_contracts, out);
     }
 };
 
-/**
- * Live event-stream tap for a single run (--events): the sink plus
- * the two stream-side observer plugins, so finishRun can emit the
- * end-of-run tail and export their metrics.
- */
-struct EventTap
-{
-    obs::EventSink *sink = nullptr;
-    std::ofstream *os = nullptr;
-    std::string path;
-    obs::RollingActivity *activity = nullptr;
-    obs::AssertionTriage *triage = nullptr;
-};
-
-/**
- * --backend compiled: JIT the netlist and attach the kernel to the
- * bench's simulator.  Failures (no compiler, compile error, hash
- * mismatch) degrade to the interpreter with a note on stderr; the
- * run's results and exit code are identical either way.
- */
-codegen::JitResult
-attachCompiledBackend(tb::Testbench &bench)
-{
-    codegen::JitResult jr =
-        codegen::jitCompileKernel(bench.sim().netlist());
-    if (jr.kernel &&
-        bench.sim().attachKernel(codegen::kernelRef(jr.kernel)))
-        return jr;
-    fprintf(stderr,
-            "anvilc: note: compiled backend unavailable (%s); "
-            "using the interpreter\n",
-            jr.error.empty() ? "kernel attach failed"
-                             : jr.error.c_str());
-    return jr;
-}
-
-/**
- * Hook the telemetry spine up before a run: one TraceProfiler feeds
- * both the simulator's phase timing (Sim::setTelemetry) and the
- * change feed's per-observer tracks.  Event buffering is only paid
- * for when --profile will write them out.
- */
-std::unique_ptr<obs::TraceProfiler>
-attachTelemetry(tb::Testbench &bench, const ObsOptions &oo)
-{
-    if (!oo.telemetry())
-        return nullptr;
-    auto profiler = std::make_unique<obs::TraceProfiler>(
-        !oo.profile_path.empty());
-    bench.sim().setTelemetry(profiler.get());
-    bench.feed().setProfiler(profiler.get());
-    return profiler;
-}
-
-/** Attach the --slice / --vcd observer to the bench. */
+/** Report half of --sim and --replay: stdout, artifacts, exit code. */
 int
-attachWaves(tb::Testbench &bench, std::ofstream &vcd_os,
-            const ObsOptions &oo)
+finishRun(run::Job &job, const RunOptions &ro,
+          std::ofstream &events_os, std::ofstream &vcd_os)
 {
-    if (oo.slice_channel.empty()) {
-        bench.attachVcd(vcd_os);
-        return kExitOk;
-    }
-    try {
-        bench.attachObserver(std::make_unique<obs::ChannelSlicer>(
-            bench.sim(), vcd_os, oo.slice_channel));
-    } catch (const std::invalid_argument &e) {
-        fprintf(stderr, "anvilc: %s\n", e.what());
-        return kExitUsage;
-    }
-    return kExitOk;
-}
-
-/** Shared tail of --sim and --replay runs: run, report, exit code. */
-int
-finishRun(tb::Testbench &bench, uint64_t cycles,
-          tb::Coverage *coverage, std::ofstream *vcd_os,
-          const std::string &vcd_path, bool cov, bool stats,
-          const ObsOptions &oo, obs::TraceProfiler *profiler,
-          const codegen::JitResult *jit,
-          const EventTap *tap = nullptr,
-          const obs::FlightRecorder *flight = nullptr)
-{
-    uint64_t wall0 = rtl::monotonicNanos();
-    tb::TbResult result = bench.run(cycles);
-    uint64_t wall_ns = rtl::monotonicNanos() - wall0;
-    bench.feed().finish();
-
+    const tb::TbResult &result = job.result();
+    rtl::Sim &sim = job.bench().sim();
+    const tb::Coverage *coverage = job.coverage();
     printf("sim: %llu cycles, %llu toggles, %zu dprint line(s)\n",
            (unsigned long long)result.cycles,
-           (unsigned long long)bench.sim().totalToggles(),
-           bench.sim().log().size());
-    if (stats) {
+           (unsigned long long)sim.totalToggles(), sim.log().size());
+    const rtl::SweepStats &ss = sim.sweepStats();
+    if (ro.stats) {
         // The activity factor is what the event-driven sweep
-        // exploits: nodes actually evaluated vs. the whole strict
-        // table, per cycle.
-        const rtl::SweepStats &ss = bench.sim().sweepStats();
-        double act = ss.strict_nodes
-            ? 100.0 * ss.avgNodes() /
-                static_cast<double>(ss.strict_nodes)
-            : 0.0;
-        // Always name the backend actually used: a silent JIT
-        // fallback must be visible here, not just in stats-json.
+        // exploits.  Always name the backend actually used: a silent
+        // JIT fallback must be visible here, not just in stats-json.
         // threads=1 is a fixed literal: the sweep is single-threaded.
         printf("sweep: mode=%s backend=%s threads=1 strict-nodes=%zu "
                "evaluated/cycle avg=%.1f peak=%llu "
                "changed-nets/cycle avg=%.1f peak=%llu "
                "activity=%.1f%%\n",
                rtl::sweepModeName(ss.mode),
-               bench.sim().kernelAttached() ? "compiled" : "interp",
+               sim.kernelAttached() ? "compiled" : "interp",
                ss.strict_nodes, ss.avgNodes(),
                (unsigned long long)ss.peak_nodes, ss.avgChanged(),
-               (unsigned long long)ss.peak_changed, act);
-        if (bench.sim().kernelAttached())
+               (unsigned long long)ss.peak_changed, ss.activityPct());
+        if (sim.kernelAttached())
             printf("sweep-kernel: frames=%llu dense-frames=%llu "
                    "fallback-switches=%llu\n",
                    (unsigned long long)ss.kernel_frames,
                    (unsigned long long)ss.kernel_dense_frames,
                    (unsigned long long)ss.kernel_fallback_switches);
     }
-    if (coverage && (stats || cov))
+    if (coverage && (ro.stats || ro.cov))
         printf("sim-summary %s\n", coverage->summaryJson().c_str());
-    if (cov && coverage)
+    if (ro.cov && coverage)
         fputs(coverage->report().c_str(), stdout);
-    if (vcd_os) {
-        vcd_os->flush();
-        if (!vcd_os->good()) {
+    if (vcd_os.is_open()) {
+        vcd_os.flush();
+        if (!vcd_os.good()) {
             fprintf(stderr, "anvilc: error writing '%s'\n",
-                    vcd_path.c_str());
+                    ro.vcd_path.c_str());
             return kExitIo;
         }
-        fprintf(stderr, "anvilc: wrote %s\n", vcd_path.c_str());
+        fprintf(stderr, "anvilc: wrote %s\n", ro.vcd_path.c_str());
     }
-    if (flight)
-        for (const obs::FlightRecorder::DumpInfo &d :
-             flight->dumps())
+    if (const obs::FlightRecorder *flight = job.flight()) {
+        for (const obs::FlightRecorder::DumpInfo &d : flight->dumps()) {
             printf("flight: dump %d: %s @%llu window "
                    "[%llu..%llu]%s%s\n",
                    d.index, d.trigger.c_str(),
                    (unsigned long long)d.trigger_cycle,
                    (unsigned long long)d.from,
                    (unsigned long long)d.to,
-                   d.path.empty() ? "" : " -> ",
-                   d.path.c_str());
+                   d.path.empty() ? "" : " -> ", d.path.c_str());
+            if (!d.path.empty())
+                fprintf(stderr, "anvilc: wrote %s\n", d.path.c_str());
+        }
+        for (const std::string &path : job.dumpWriteErrors())
+            fprintf(stderr, "anvilc: cannot write '%s'\n",
+                    path.c_str());
+    }
 
     // Hot-spot attribution (--profile-hot): ranked tables on stdout,
     // the anvil-hot-v1 JSON report to the requested file.
-    std::unique_ptr<obs::HotReport> hot;
-    if (!oo.hot_path.empty()) {
-        hot = std::make_unique<obs::HotReport>(
-            obs::buildHotReport(bench.sim()));
+    if (const obs::HotReport *hot = job.hot()) {
         fputs(hot->table().c_str(), stdout);
-        std::ofstream os(oo.hot_path);
-        os << hot->json() << "\n";
-        os.flush();
-        if (!os.good()) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    oo.hot_path.c_str());
+        if (!writeArtifact(ro.hot_path, hot->json() + "\n"))
             return kExitIo;
-        }
-        fprintf(stderr, "anvilc: wrote %s\n", oo.hot_path.c_str());
     }
 
-    if (oo.telemetry()) {
-        obs::MetricsRegistry reg;
-        run::collectRunMetrics(reg, bench, result, coverage,
-                               profiler, jit, wall_ns,
-                               tap ? tap->activity : nullptr,
-                               tap ? tap->triage : nullptr);
-        if (flight)
-            flight->exportMetrics(reg);
-        if (hot)
-            hot->exportMetrics(reg);
-        if (tap && tap->sink) {
-            run::emitRunTail(*tap->sink, bench, result, coverage,
-                             reg, wall_ns);
-            tap->os->flush();
-            if (!tap->os->good()) {
-                fprintf(stderr, "anvilc: cannot write '%s'\n",
-                        tap->path.c_str());
-                return kExitIo;
-            }
-            fprintf(stderr, "anvilc: wrote %s\n", tap->path.c_str());
-        }
-        if (!oo.metrics_path.empty()) {
-            std::ofstream os(oo.metrics_path);
-            os << reg.json() << "\n";
-            os.flush();
-            if (!os.good()) {
-                fprintf(stderr, "anvilc: cannot write '%s'\n",
-                        oo.metrics_path.c_str());
-                return kExitIo;
-            }
-            fprintf(stderr, "anvilc: wrote %s\n",
-                    oo.metrics_path.c_str());
-        }
-        if (!oo.profile_path.empty() && profiler) {
-            profiler->setLevelActivity(bench.feed().levelActivity());
-            std::ofstream os(oo.profile_path);
-            profiler->writeJson(os);
-            os.flush();
-            if (!os.good()) {
-                fprintf(stderr, "anvilc: cannot write '%s'\n",
-                        oo.profile_path.c_str());
-                return kExitIo;
-            }
-            fprintf(stderr, "anvilc: wrote %s\n",
-                    oo.profile_path.c_str());
-        }
-        if (oo.stats_json) {
-            const rtl::SweepStats &ss = bench.sim().sweepStats();
-            double act = ss.strict_nodes
-                ? 100.0 * ss.avgNodes() /
-                    static_cast<double>(ss.strict_nodes)
-                : 0.0;
-            double cps = wall_ns
-                ? static_cast<double>(result.cycles) * 1e9 /
-                    static_cast<double>(wall_ns)
-                : 0.0;
-            // "threads" stays in anvil-stats-v1, fixed at 1.
-            printf("stats-json {\"schema\":\"anvil-stats-v1\","
-                   "\"design\":\"%s\",\"cycles\":%llu,"
-                   "\"backend\":\"%s\",\"sweep\":\"%s\","
-                   "\"threads\":1,\"activity_pct\":%.2f,"
-                   "\"toggles\":%llu,\"failures\":%zu,"
-                   "\"wall_ns\":%llu,\"cycles_per_sec\":%.0f,"
-                   "\"coverage\":%s}\n",
-                   bench.sim().topName().c_str(),
-                   (unsigned long long)result.cycles,
-                   bench.sim().kernelAttached() ? "compiled"
-                                                : "interp",
-                   rtl::sweepModeName(ss.mode), act,
-                   (unsigned long long)bench.sim().totalToggles(),
-                   result.failures.size(),
-                   (unsigned long long)wall_ns, cps,
-                   coverage ? coverage->summaryJson().c_str()
-                            : "null");
-        }
+    if (events_os.is_open() && !closeArtifact(events_os, ro.events_path))
+        return kExitIo;
+    if (!ro.metrics_path.empty() &&
+        !writeArtifact(ro.metrics_path, job.metrics().json() + "\n"))
+        return kExitIo;
+    if (!ro.profile_path.empty()) {
+        obs::TraceProfiler *profiler = job.profiler();
+        profiler->setLevelActivity(job.bench().feed().levelActivity());
+        std::ofstream os(ro.profile_path);
+        profiler->writeJson(os);
+        if (!closeArtifact(os, ro.profile_path))
+            return kExitIo;
+    }
+    if (ro.stats_json) {
+        uint64_t wall_ns = job.wallNs();
+        double cps = wall_ns
+            ? static_cast<double>(result.cycles) * 1e9 /
+                static_cast<double>(wall_ns)
+            : 0.0;
+        // "threads" stays in anvil-stats-v1, fixed at 1.
+        printf("stats-json {\"schema\":\"anvil-stats-v1\","
+               "\"design\":\"%s\",\"cycles\":%llu,"
+               "\"backend\":\"%s\",\"sweep\":\"%s\","
+               "\"threads\":1,\"activity_pct\":%.2f,"
+               "\"toggles\":%llu,\"failures\":%zu,"
+               "\"wall_ns\":%llu,\"cycles_per_sec\":%.0f,"
+               "\"coverage\":%s}\n",
+               sim.topName().c_str(),
+               (unsigned long long)result.cycles,
+               sim.kernelAttached() ? "compiled" : "interp",
+               rtl::sweepModeName(ss.mode), ss.activityPct(),
+               (unsigned long long)sim.totalToggles(),
+               result.failures.size(), (unsigned long long)wall_ns,
+               cps,
+               coverage ? coverage->summaryJson().c_str() : "null");
     }
 
     if (!result.ok()) {
@@ -545,144 +496,48 @@ finishRun(tb::Testbench &bench, uint64_t cycles,
     return kExitOk;
 }
 
-/** Random-testbench run over the compiled top module. */
+/**
+ * One run through the spine: --sim as is, --replay with its replay
+ * stimulus installed in `jc`.  Opens the artifact files, resolves
+ * the monitored contracts, JITs the backend, runs, reports.
+ */
 int
-simulate(const rtl::ModulePtr &mod, long cycles, uint64_t seed,
-         const std::string &vcd_path, bool cov, bool stats,
-         bool contracts,
-         const std::vector<std::string> &contract_specs,
-         const formal::ContractSet *typed,
-         rtl::SweepMode sweep_mode, bool compiled_backend,
-         const ObsOptions &oo)
+runSingle(const RunOptions &ro, run::JobConfig jc)
 {
-    tb::Testbench bench(mod, seed);
-    bench.sim().setSweepMode(sweep_mode);
-    if (!oo.hot_path.empty())
-        bench.sim().setEvalCounting(true);
-    codegen::JitResult jit;
-    if (compiled_backend)
-        jit = attachCompiledBackend(bench);
-    std::unique_ptr<obs::TraceProfiler> profiler =
-        attachTelemetry(bench, oo);
-    for (const auto &in : bench.sim().inputNames())
-        bench.driveRandom(in);
-
-    std::ofstream events_os;
-    std::unique_ptr<obs::EventSink> sink;
-    EventTap tap;
-    if (!oo.events_path.empty()) {
-        events_os.open(oo.events_path);
-        if (!events_os) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    oo.events_path.c_str());
+    std::ofstream events_os, vcd_os;
+    if (!ro.events_path.empty()) {
+        if (!openArtifact(events_os, ro.events_path))
             return kExitIo;
-        }
-        sink = std::make_unique<obs::EventSink>(events_os);
-        tap.sink = sink.get();
-        tap.os = &events_os;
-        tap.path = oo.events_path;
+        jc.events = &events_os;
     }
-
-    trace::ContractMonitor *monitor = nullptr;
-    if (contracts || !contract_specs.empty()) {
-        std::vector<trace::ContractSpec> specs;
-        if (!resolveContracts(contract_specs,
-                              bench.sim().netlist(), typed,
-                              contracts, &specs))
-            return kExitUsage;
-        try {
-            monitor = static_cast<trace::ContractMonitor *>(
-                &bench.addMonitor(
-                    std::make_unique<trace::ContractMonitor>(
-                        std::move(specs), bench.sim())));
-        } catch (const std::invalid_argument &e) {
-            fprintf(stderr, "anvilc: %s\n", e.what());
-            return kExitUsage;
-        }
-    }
-
-    tb::Coverage *coverage = nullptr;
-    if (cov || stats || (oo.flight && oo.coverTriggered()))
-        coverage = &bench.coverage();
-
-    // The stream-side plugins ride along whenever the run streams
-    // events — the same stack a farm worker runs, so a single-run
-    // stream merges (and compares) cleanly against farm output.
-    if (sink) {
-        if (monitor)
-            tap.triage = static_cast<obs::AssertionTriage *>(
-                &bench.attachObserver(
-                    std::make_unique<obs::AssertionTriage>(
-                        *monitor, sink.get())));
-        tap.activity = static_cast<obs::RollingActivity *>(
-            &bench.attachObserver(
-                std::make_unique<obs::RollingActivity>(
-                    /*window=*/64, sink.get())));
-        sink->runBegin(bench.sim().topName(), /*worker=*/0, seed,
-                       static_cast<uint64_t>(cycles),
-                       bench.sim().sweepMode());
-    }
-
-    // Flight recorder last: its trigger poll must see the cycle's
-    // monitor and coverage updates, and its window_dump events land
-    // in the stream the sink plugins already opened.
-    obs::FlightRecorder *flight = nullptr;
-    if (oo.flight) {
-        obs::FlightRecorder::Options fo;
-        fo.pre = oo.flightPre();
-        fo.post = oo.flight_post;
-        auto rec = std::make_unique<obs::FlightRecorder>(bench.sim(),
-                                                         fo);
-        std::string err;
-        if (!run::attachFlightTriggers(*rec, bench, coverage,
-                                       oo.dump_on, &err)) {
-            fprintf(stderr, "anvilc: %s\n", err.c_str());
-            return kExitUsage;
-        }
-        std::string prefix = oo.flight_out;
-        obs::EventSink *esink = sink.get();
-        rec->setDumpSink(
-            [prefix, esink](const obs::FlightRecorder::DumpInfo &d,
-                            const std::string &vcd) {
-                std::string path =
-                    prefix + "-" + std::to_string(d.index) + ".vcd";
-                std::ofstream os(path);
-                os << vcd;
-                os.flush();
-                if (!os.good()) {
-                    fprintf(stderr, "anvilc: cannot write '%s'\n",
-                            path.c_str());
-                    path.clear();
-                } else {
-                    fprintf(stderr, "anvilc: wrote %s\n",
-                            path.c_str());
-                }
-                if (esink)
-                    esink->windowDump(d.trigger_cycle, d.trigger,
-                                      path, d.from, d.to);
-                return path;
-            });
-        flight = static_cast<obs::FlightRecorder *>(
-            &bench.attachObserver(std::move(rec)));
-    }
-
-    std::ofstream vcd_os;
-    if (!vcd_path.empty()) {
-        vcd_os.open(vcd_path);
-        if (!vcd_os) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    vcd_path.c_str());
+    if (!ro.monitoredContracts(*jc.netlist, &jc.contracts))
+        return kExitUsage;
+    if (!ro.vcd_path.empty()) {
+        if (!openArtifact(vcd_os, ro.vcd_path))
             return kExitIo;
-        }
-        if (int rc = attachWaves(bench, vcd_os, oo))
-            return rc;
+        jc.waves = &vcd_os;
     }
+    run::Backend backend;
+    if (ro.compiled_backend) {
+        backend = run::compileBackend(*jc.netlist);
+        jc.backend = &backend;
+    }
+    jc.metrics = ro.telemetry();
+    jc.profile_events = !ro.profile_path.empty();
+    jc.hot = !ro.hot_path.empty();
 
-    return finishRun(bench, static_cast<uint64_t>(cycles), coverage,
-                     vcd_path.empty() ? nullptr : &vcd_os, vcd_path,
-                     cov, stats, oo, profiler.get(),
-                     compiled_backend ? &jit : nullptr,
-                     sink ? &tap : nullptr, flight);
+    std::unique_ptr<run::Job> job;
+    try {
+        job = std::make_unique<run::Job>(jc);
+    } catch (const std::invalid_argument &e) {
+        fprintf(stderr, "anvilc: %s\n", e.what());
+        return kExitUsage;
+    }
+    if (ro.compiled_backend && !job->bench().sim().kernelAttached())
+        noteInterpreter(backend.note.empty() ? "kernel attach failed"
+                                             : backend.note);
+    job->run();
+    return finishRun(*job, ro, events_os, vcd_os);
 }
 
 /**
@@ -693,31 +548,14 @@ simulate(const rtl::ModulePtr &mod, long cycles, uint64_t seed,
  * byte-compatible with single-run output.
  */
 int
-farm(const rtl::ModulePtr &mod, long cycles, int workers,
-     uint64_t seed_base, bool cov, bool stats, bool contracts,
-     const std::vector<std::string> &contract_specs,
-     const formal::ContractSet *typed, rtl::SweepMode sweep_mode,
-     bool compiled_backend, const ObsOptions &oo)
+farm(const RunOptions &ro, int workers)
 {
     run::FarmConfig fc;
-    fc.top = mod;
-    fc.netlist = std::make_shared<const rtl::Netlist>(*mod);
+    static_cast<run::RunSpec &>(fc) = ro.job;
     fc.workers = workers;
-    fc.seed_base = seed_base;
-    fc.cycles = static_cast<uint64_t>(cycles);
-    fc.sweep_mode = sweep_mode;
-    fc.compiled_backend = compiled_backend;
-    fc.coverage = cov || stats ||
-                  (oo.flight && oo.coverTriggered());
-    fc.flight_pre = oo.flight ? oo.flightPre() : 0;
-    fc.flight_post = oo.flight_post;
-    fc.flight_triggers = oo.dump_on;
-    fc.flight_out = oo.flight ? oo.flight_out : "";
-
-    bool monitored = contracts || !contract_specs.empty();
-    if (monitored &&
-        !resolveContracts(contract_specs, *fc.netlist, typed,
-                          contracts, &fc.contracts))
+    fc.seed_base = ro.job.seed;
+    fc.compiled_backend = ro.compiled_backend;
+    if (!ro.monitoredContracts(*fc.netlist, &fc.contracts))
         return kExitUsage;
 
     obs::Merger merger;
@@ -729,15 +567,13 @@ farm(const rtl::ModulePtr &mod, long cycles, int workers,
         return kExitCheckFailure;
     }
     if (!fr.jit_note.empty())
-        fprintf(stderr,
-                "anvilc: note: compiled backend unavailable (%s); "
-                "using the interpreter\n", fr.jit_note.c_str());
+        noteInterpreter(fr.jit_note);
 
     printf("farm: %d worker(s), %llu cycle(s) each, "
            "seeds %llu..%llu\n",
-           workers, (unsigned long long)cycles,
-           (unsigned long long)seed_base,
-           (unsigned long long)(seed_base +
+           workers, (unsigned long long)fc.cycles,
+           (unsigned long long)fc.seed_base,
+           (unsigned long long)(fc.seed_base +
                                 static_cast<uint64_t>(workers) - 1));
     for (const run::JobResult &j : fr.jobs)
         printf("worker %d: seed %llu: %s\n", j.worker,
@@ -747,12 +583,12 @@ farm(const rtl::ModulePtr &mod, long cycles, int workers,
     printf("sim: %llu cycles, %llu toggles across %zu worker(s)\n",
            (unsigned long long)t.cycles,
            (unsigned long long)t.toggles, t.workers);
-    if (merger.hasCoverage() && (stats || cov))
+    if (merger.hasCoverage() && (ro.stats || ro.cov))
         printf("sim-summary %s\n",
                merger.coverage().summaryJson().c_str());
-    if (cov && merger.hasCoverage())
+    if (ro.cov && merger.hasCoverage())
         fputs(merger.coverage().report().c_str(), stdout);
-    if (monitored)
+    if (ro.monitored())
         fputs(merger.triageReport().c_str(), stdout);
     for (const obs::Merger::WindowDump &wd : merger.windowDumps())
         printf("flight: worker %d: %s @%llu window [%llu..%llu]%s%s\n",
@@ -762,38 +598,18 @@ farm(const rtl::ModulePtr &mod, long cycles, int workers,
                (unsigned long long)wd.to,
                wd.path.empty() ? "" : " -> ", wd.path.c_str());
 
-    if (!oo.events_path.empty()) {
-        // One on-disk stream per worker: <path>.<worker> — the same
-        // files tools/anvil_merge consumes.
-        for (const run::JobResult &j : fr.jobs) {
-            std::string path =
-                oo.events_path + "." + std::to_string(j.worker);
-            std::ofstream os(path);
-            if (os)
-                os << j.events;
-            os.flush();
-            if (!os.good()) {
-                fprintf(stderr, "anvilc: cannot write '%s'\n",
-                        path.c_str());
+    // One on-disk stream per worker: <path>.<worker> — the same files
+    // tools/anvil_merge consumes.
+    if (!ro.events_path.empty())
+        for (const run::JobResult &j : fr.jobs)
+            if (!writeArtifact(ro.events_path + "." +
+                                   std::to_string(j.worker),
+                               j.events))
                 return kExitIo;
-            }
-            fprintf(stderr, "anvilc: wrote %s\n", path.c_str());
-        }
-    }
-    if (!oo.metrics_path.empty()) {
-        std::ofstream os(oo.metrics_path);
-        if (os)
-            os << merger.metricsJson() << "\n";
-        os.flush();
-        if (!os.good()) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    oo.metrics_path.c_str());
-            return kExitIo;
-        }
-        fprintf(stderr, "anvilc: wrote %s\n",
-                oo.metrics_path.c_str());
-    }
-    if (oo.stats_json)
+    if (!ro.metrics_path.empty() &&
+        !writeArtifact(ro.metrics_path, merger.metricsJson() + "\n"))
+        return kExitIo;
+    if (ro.stats_json)
         printf("stats-json %s\n",
                merger.statsJson(fr.wall_ns).c_str());
 
@@ -811,13 +627,7 @@ farm(const rtl::ModulePtr &mod, long cycles, int workers,
 
 /** Replay a recorded dump as stimulus and diff the re-simulation. */
 int
-replay(const rtl::ModulePtr &mod, const std::string &dump_path,
-       long cycles_override, const std::string &vcd_path, bool cov,
-       bool stats, bool contracts,
-       const std::vector<std::string> &contract_specs,
-       const formal::ContractSet *typed,
-       rtl::SweepMode sweep_mode, bool compiled_backend,
-       const ObsOptions &oo)
+replay(const RunOptions &ro, const std::string &dump_path)
 {
     trace::Trace t;
     try {
@@ -828,81 +638,33 @@ replay(const rtl::ModulePtr &mod, const std::string &dump_path,
         return kExitIo;
     }
 
-    tb::Testbench bench(mod);
-    bench.sim().setSweepMode(sweep_mode);
-    if (!oo.hot_path.empty())
-        bench.sim().setEvalCounting(true);
-    codegen::JitResult jit;
-    if (compiled_backend)
-        jit = attachCompiledBackend(bench);
-    std::unique_ptr<obs::TraceProfiler> profiler =
-        attachTelemetry(bench, oo);
-    auto driver =
-        std::make_unique<trace::ReplayDriver>(t, bench.sim());
-    uint64_t cycles = driver->cyclesAvailable();
-    // Inputs the dump never recorded stay at zero; say so rather
-    // than let the diff below blame the design.
-    for (const auto &in : driver->missingInputs())
-        fprintf(stderr,
-                "anvilc: note: input '%s' not recorded in %s; "
-                "replaying it as zero\n",
-                in.c_str(), dump_path.c_str());
-    bench.addDriver(std::move(driver));
-    bench.addMonitor(
-        std::make_unique<trace::ReplayMonitor>(t, bench.sim()));
-
-    // Contract monitoring applies to replayed runs too.
-    if (contracts || !contract_specs.empty()) {
-        std::vector<trace::ContractSpec> specs;
-        if (!resolveContracts(contract_specs,
-                              bench.sim().netlist(), typed,
-                              contracts, &specs))
-            return kExitUsage;
-        try {
-            bench.addMonitor(
-                std::make_unique<trace::ContractMonitor>(
-                    std::move(specs), bench.sim()));
-        } catch (const std::invalid_argument &e) {
-            fprintf(stderr, "anvilc: %s\n", e.what());
-            return kExitUsage;
-        }
-    }
-
-    if (cycles_override > 0)
-        cycles = static_cast<uint64_t>(cycles_override);
-    printf("replay: %s: %zu signals, %llu change(s), %llu cycle(s)\n",
-           dump_path.c_str(), t.signals().size(),
-           (unsigned long long)t.changeCount(),
-           (unsigned long long)cycles);
-
-    tb::Coverage *coverage = nullptr;
-    if (cov || stats)
-        coverage = &bench.coverage();
-
-    std::ofstream vcd_os;
-    if (!vcd_path.empty()) {
-        vcd_os.open(vcd_path);
-        if (!vcd_os) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    vcd_path.c_str());
-            return kExitIo;
-        }
-        if (int rc = attachWaves(bench, vcd_os, oo))
-            return rc;
-    }
-
-    return finishRun(bench, cycles, coverage,
-                     vcd_path.empty() ? nullptr : &vcd_os, vcd_path,
-                     cov, stats, oo, profiler.get(),
-                     compiled_backend ? &jit : nullptr);
+    run::JobConfig jc = ro.job;
+    if (!jc.cycles)   // --sim N overrides the recorded length
+        jc.cycles = t.cycles();
+    uint64_t cycles = jc.cycles;
+    jc.stimulus = [&t, &dump_path, cycles](tb::Testbench &bench) {
+        std::vector<std::string> missing;
+        trace::attachReplay(bench, t, /*check=*/true, &missing);
+        // Inputs the dump never recorded stay at zero; say so rather
+        // than let the diff blame the design.
+        for (const std::string &in : missing)
+            fprintf(stderr,
+                    "anvilc: note: input '%s' not recorded in %s; "
+                    "replaying it as zero\n",
+                    in.c_str(), dump_path.c_str());
+        printf("replay: %s: %zu signals, %llu change(s), "
+               "%llu cycle(s)\n",
+               dump_path.c_str(), t.signals().size(),
+               (unsigned long long)t.changeCount(),
+               (unsigned long long)cycles);
+    };
+    return runSingle(ro, std::move(jc));
 }
 
 /** Offline contract check (and coverage grading) of a recorded dump. */
 int
-checkTraceFile(const rtl::ModulePtr &mod,
-               const std::string &dump_path, bool print_contracts,
-               const std::vector<std::string> &contract_specs,
-               const formal::ContractSet *typed, bool cov)
+checkTraceFile(const rtl::ModulePtr &mod, const RunOptions &ro,
+               const std::string &dump_path)
 {
     trace::Trace t;
     try {
@@ -915,11 +677,11 @@ checkTraceFile(const rtl::ModulePtr &mod,
 
     rtl::Sim sim(mod);
     std::vector<trace::ContractSpec> specs;
-    if (!resolveContracts(contract_specs, sim.netlist(), typed,
-                          print_contracts, &specs))
+    if (!resolveContracts(ro.contract_specs, sim.netlist(), ro.typed,
+                          ro.print_contracts, &specs))
         return kExitUsage;
 
-    if (cov) {
+    if (ro.cov) {
         // Offline coverage replay: grade the recording against the
         // design's coverage model without re-simulating.
         tb::Coverage coverage;
@@ -970,16 +732,13 @@ diffTraceFiles(const std::string &path_a, const std::string &path_b)
 
 /** Prove the contract obligations by k-induction. */
 int
-proveDesign(const rtl::ModulePtr &mod,
-            const std::vector<std::string> &contract_specs,
-            const formal::ContractSet *typed, bool print_contracts,
-            int prove_k, bool detailed, const std::string &vcd_path,
-            rtl::SweepMode sweep_mode, const ObsOptions &oo)
+proveDesign(const rtl::ModulePtr &mod, const RunOptions &ro,
+            int prove_k, bool detailed)
 {
     rtl::Sim sim(mod);
     std::vector<trace::ContractSpec> specs;
-    if (!resolveContracts(contract_specs, sim.netlist(), typed,
-                          print_contracts, &specs))
+    if (!resolveContracts(ro.contract_specs, sim.netlist(), ro.typed,
+                          ro.print_contracts, &specs))
         return kExitUsage;
 
     formal::InstrumentedDesign inst =
@@ -992,42 +751,27 @@ proveDesign(const rtl::ModulePtr &mod,
     formal::ProveOptions opts;
     if (prove_k > 0)
         opts.k_max = prove_k;
-    opts.sweep_mode = sweep_mode;
+    opts.sweep_mode = ro.job.sweep_mode;
     // The prover reports into the same telemetry spine as a
     // simulation run: per-obligation phase windows onto the profiler,
     // prove.* counters and the states/sec gauge into the registry.
     obs::TraceProfiler profiler(/*record_events=*/true);
     obs::MetricsRegistry reg;
-    if (!oo.profile_path.empty())
+    if (!ro.profile_path.empty())
         opts.profiler = &profiler;
-    if (!oo.metrics_path.empty())
+    if (!ro.metrics_path.empty())
         opts.metrics = &reg;
     formal::ProveResult res = formal::prove(inst, opts);
     fputs(res.report(detailed).c_str(), stdout);
 
-    if (!oo.metrics_path.empty()) {
-        std::ofstream os(oo.metrics_path);
-        os << reg.json() << "\n";
-        os.flush();
-        if (!os.good()) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    oo.metrics_path.c_str());
-            return kExitIo;
-        }
-        fprintf(stderr, "anvilc: wrote %s\n",
-                oo.metrics_path.c_str());
-    }
-    if (!oo.profile_path.empty()) {
-        std::ofstream os(oo.profile_path);
+    if (!ro.metrics_path.empty() &&
+        !writeArtifact(ro.metrics_path, reg.json() + "\n"))
+        return kExitIo;
+    if (!ro.profile_path.empty()) {
+        std::ofstream os(ro.profile_path);
         profiler.writeJson(os);
-        os.flush();
-        if (!os.good()) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    oo.profile_path.c_str());
+        if (!closeArtifact(os, ro.profile_path))
             return kExitIo;
-        }
-        fprintf(stderr, "anvilc: wrote %s\n",
-                oo.profile_path.c_str());
     }
 
     int proved = 0, violated = 0, unknown = 0, conditional = 0;
@@ -1055,22 +799,19 @@ proveDesign(const rtl::ModulePtr &mod,
            res.obligations.size(), proved, conditional, violated,
            unknown);
 
-    if (cex && !vcd_path.empty()) {
-        std::ofstream os(vcd_path);
-        if (!os) {
-            fprintf(stderr, "anvilc: cannot write '%s'\n",
-                    vcd_path.c_str());
+    if (cex && !ro.vcd_path.empty()) {
+        std::ofstream os;
+        if (!openArtifact(os, ro.vcd_path))
             return kExitIo;
-        }
-        formal::writeCexVcd(inst, *cex, os, sweep_mode);
+        formal::writeCexVcd(inst, *cex, os, ro.job.sweep_mode);
         if (!os.good()) {
             fprintf(stderr, "anvilc: error writing '%s'\n",
-                    vcd_path.c_str());
+                    ro.vcd_path.c_str());
             return kExitIo;
         }
         fprintf(stderr,
                 "anvilc: wrote %s (counterexample for %s)\n",
-                vcd_path.c_str(), cex->name.c_str());
+                ro.vcd_path.c_str(), cex->name.c_str());
     }
     if (violated)
         return kExitCheckFailure;
@@ -1084,30 +825,37 @@ proveDesign(const rtl::ModulePtr &mod,
 int
 main(int argc, char **argv)
 {
-    std::string input, output, top, vcd_path;
+    std::string input, output, top;
     std::string replay_path, check_trace_path;
     std::string diff_a, diff_b;
-    bool optimize = true, trace_flag = false, stats = false;
-    bool check_only = false, cov = false, contracts = false;
+    bool optimize = true, trace_flag = false;
+    bool check_only = false;
     bool infer_contracts = false, prove = false;
     bool prove_report = false;
     int prove_k = 0;
-    std::vector<std::string> contract_specs;
-    long sim_cycles = 0;
-    uint64_t seed = 1;
     int farm_workers = 0;
     uint64_t seed_base = 0;
     bool seed_base_set = false;
-    rtl::SweepMode sweep_mode = rtl::SweepMode::Dirty;
     bool sweep_set = false;
     bool emit_cpp = false;
-    bool compiled_backend = false;
     bool backend_set = false;
+    uint64_t flight = 0;       // --flight K (0: recorder off)
+    uint64_t flight_pre = 0;   // --flight-pre (0: use K)
     bool flight_aux = false;   // any --flight-* / --dump-on given
-    ObsOptions oo;
+    RunOptions ro;
+    run::JobConfig &job = ro.job;
+    job.flight_out = "flight";
 
+    constexpr uint64_t kMaxCount = INT64_MAX;   // cycle-count flags
     for (int i = 1; i < argc; i++) {
         std::string arg = argv[i];
+        // Numeric values parse strictly, within the flag's range.
+        uint64_t n = 0;
+        auto number = [&](uint64_t lo, uint64_t hi, uint64_t *out,
+                          int base = 10) {
+            return parseNumber(arg.c_str(), argv[++i], lo, hi, out,
+                               base);
+        };
         if (arg == "-o" && i + 1 < argc) {
             output = argv[++i];
         } else if (arg == "--top" && i + 1 < argc) {
@@ -1117,31 +865,27 @@ main(int argc, char **argv)
         } else if (arg == "--trace") {
             trace_flag = true;
         } else if (arg == "--stats") {
-            stats = true;
+            ro.stats = true;
         } else if (arg == "--check-only") {
             check_only = true;
         } else if (arg == "--sim" && i + 1 < argc) {
-            sim_cycles = atol(argv[++i]);
-            if (sim_cycles <= 0) {
-                fprintf(stderr, "anvilc: bad --sim cycle count\n");
+            if (!number(1, kMaxCount, &job.cycles))
                 return kExitUsage;
-            }
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--farm" && i + 1 < argc) {
-            farm_workers = atoi(argv[++i]);
-            if (farm_workers < 1) {
-                fprintf(stderr,
-                        "anvilc: bad --farm worker count\n");
+            if (!number(0, UINT64_MAX, &job.seed, 0))
                 return kExitUsage;
-            }
+        } else if (arg == "--farm" && i + 1 < argc) {
+            if (!number(1, run::kMaxFarmWorkers, &n))
+                return kExitUsage;
+            farm_workers = static_cast<int>(n);
         } else if (arg == "--seed-base" && i + 1 < argc) {
-            seed_base = strtoull(argv[++i], nullptr, 0);
+            if (!number(0, UINT64_MAX, &seed_base, 0))
+                return kExitUsage;
             seed_base_set = true;
         } else if (arg == "--events" && i + 1 < argc) {
-            oo.events_path = argv[++i];
+            ro.events_path = argv[++i];
         } else if (arg == "--sweep" && i + 1 < argc) {
-            if (!parseSweepMode(argv[++i], &sweep_mode)) {
+            if (!parseSweepMode(argv[++i], &job.sweep_mode)) {
                 fprintf(stderr,
                         "anvilc: bad --sweep mode '%s' (expected "
                         "full or dirty)\n", argv[i]);
@@ -1153,7 +897,7 @@ main(int argc, char **argv)
         } else if (arg == "--backend" && i + 1 < argc) {
             std::string b = argv[++i];
             if (b == "compiled") {
-                compiled_backend = true;
+                ro.compiled_backend = true;
             } else if (b != "interp") {
                 fprintf(stderr,
                         "anvilc: bad --backend '%s' (expected "
@@ -1162,17 +906,17 @@ main(int argc, char **argv)
             }
             backend_set = true;
         } else if (arg == "--vcd" && i + 1 < argc) {
-            vcd_path = argv[++i];
+            ro.vcd_path = argv[++i];
         } else if (arg == "--cov") {
-            cov = true;
+            ro.cov = true;
         } else if (arg == "--replay" && i + 1 < argc) {
             replay_path = argv[++i];
         } else if (arg == "--check-trace" && i + 1 < argc) {
             check_trace_path = argv[++i];
         } else if (arg == "--contracts") {
-            contracts = true;
+            ro.print_contracts = true;
         } else if (arg == "--contract" && i + 1 < argc) {
-            contract_specs.push_back(argv[++i]);
+            ro.contract_specs.push_back(argv[++i]);
         } else if (arg == "--infer-contracts") {
             infer_contracts = true;
         } else if (arg == "--prove") {
@@ -1180,8 +924,11 @@ main(int argc, char **argv)
             // Optional depth: `--prove 4`.
             if (i + 1 < argc && argv[i + 1][0] != '\0' &&
                 strspn(argv[i + 1], "0123456789") ==
-                    strlen(argv[i + 1]))
-                prove_k = atoi(argv[++i]);
+                    strlen(argv[i + 1])) {
+                if (!number(0, INT_MAX, &n))
+                    return kExitUsage;
+                prove_k = static_cast<int>(n);
+            }
         } else if (arg == "--prove-report") {
             prove = true;
             prove_report = true;
@@ -1189,28 +936,15 @@ main(int argc, char **argv)
             diff_a = argv[++i];
             diff_b = argv[++i];
         } else if (arg == "--flight" && i + 1 < argc) {
-            long k = atol(argv[++i]);
-            if (k < 1) {
-                fprintf(stderr,
-                        "anvilc: bad --flight window size\n");
+            if (!number(1, kMaxCount, &flight))
                 return kExitUsage;
-            }
-            oo.flight = static_cast<uint64_t>(k);
         } else if (arg == "--flight-pre" && i + 1 < argc) {
-            long p = atol(argv[++i]);
-            if (p < 1) {
-                fprintf(stderr, "anvilc: bad --flight-pre count\n");
+            if (!number(1, kMaxCount, &flight_pre))
                 return kExitUsage;
-            }
-            oo.flight_pre = static_cast<uint64_t>(p);
             flight_aux = true;
         } else if (arg == "--flight-post" && i + 1 < argc) {
-            long q = atol(argv[++i]);
-            if (q < 0) {
-                fprintf(stderr, "anvilc: bad --flight-post count\n");
+            if (!number(0, kMaxCount, &job.flight_post))
                 return kExitUsage;
-            }
-            oo.flight_post = static_cast<uint64_t>(q);
             flight_aux = true;
         } else if (arg == "--dump-on" && i + 1 < argc) {
             std::string t = argv[++i];
@@ -1221,21 +955,21 @@ main(int argc, char **argv)
                         t.c_str());
                 return kExitUsage;
             }
-            oo.dump_on.push_back(std::move(t));
+            job.flight_triggers.push_back(std::move(t));
             flight_aux = true;
         } else if (arg == "--flight-out" && i + 1 < argc) {
-            oo.flight_out = argv[++i];
+            job.flight_out = argv[++i];
             flight_aux = true;
         } else if (arg == "--profile-hot" && i + 1 < argc) {
-            oo.hot_path = argv[++i];
+            ro.hot_path = argv[++i];
         } else if (arg == "--metrics" && i + 1 < argc) {
-            oo.metrics_path = argv[++i];
+            ro.metrics_path = argv[++i];
         } else if (arg == "--profile" && i + 1 < argc) {
-            oo.profile_path = argv[++i];
+            ro.profile_path = argv[++i];
         } else if (arg == "--stats-json") {
-            oo.stats_json = true;
+            ro.stats_json = true;
         } else if (arg == "--slice" && i + 1 < argc) {
-            oo.slice_channel = argv[++i];
+            job.slice_channel = argv[++i];
         } else if (arg == "-h" || arg == "--help") {
             usage();
             return kExitOk;
@@ -1251,11 +985,12 @@ main(int argc, char **argv)
             return kExitUsage;
         }
     }
+    uint64_t sim_cycles = job.cycles;
     // Trace diffing needs no design at all.
     if (!diff_a.empty()) {
         if (!input.empty() || sim_cycles > 0 ||
             !replay_path.empty() || !check_trace_path.empty() ||
-            prove || infer_contracts || contracts || cov ||
+            prove || infer_contracts || ro.print_contracts || ro.cov ||
             !output.empty()) {
             fprintf(stderr, "anvilc: --diff-trace takes no other "
                             "action\n");
@@ -1280,7 +1015,7 @@ main(int argc, char **argv)
     }
     bool runs_sim = sim_cycles > 0 || !replay_path.empty();
     if (!runs_sim && !prove &&
-        (!vcd_path.empty() || seed != 1 || sweep_set)) {
+        (!ro.vcd_path.empty() || job.seed != 1 || sweep_set)) {
         fprintf(stderr, "anvilc: --vcd/--seed/--sweep require "
                         "--sim <N>, --replay, or --prove\n");
         return kExitUsage;
@@ -1299,27 +1034,27 @@ main(int argc, char **argv)
         return kExitUsage;
     }
     if (farm_workers > 0 &&
-        (!replay_path.empty() || !vcd_path.empty() ||
-         !oo.slice_channel.empty() || !oo.profile_path.empty() ||
-         !oo.hot_path.empty())) {
+        (!replay_path.empty() || !ro.vcd_path.empty() ||
+         !job.slice_channel.empty() || !ro.profile_path.empty() ||
+         !ro.hot_path.empty())) {
         fprintf(stderr,
                 "anvilc: --farm conflicts with --replay/--vcd/"
                 "--slice/--profile/--profile-hot\n");
         return kExitUsage;
     }
-    if (oo.flight && (sim_cycles <= 0 || !replay_path.empty())) {
+    if (flight && (sim_cycles <= 0 || !replay_path.empty())) {
         fprintf(stderr,
                 "anvilc: --flight requires --sim <N> (not "
                 "--replay)\n");
         return kExitUsage;
     }
-    if (flight_aux && !oo.flight) {
+    if (flight_aux && !flight) {
         fprintf(stderr,
                 "anvilc: --flight-pre/--flight-post/--dump-on/"
                 "--flight-out require --flight <K>\n");
         return kExitUsage;
     }
-    if (!oo.events_path.empty() &&
+    if (!ro.events_path.empty() &&
         (sim_cycles <= 0 || !replay_path.empty())) {
         fprintf(stderr,
                 "anvilc: --events requires --sim <N> (not "
@@ -1328,22 +1063,22 @@ main(int argc, char **argv)
     }
     // --metrics/--profile also tap the prover's telemetry spine;
     // --stats-json/--slice/--profile-hot remain simulation-only.
-    if ((!oo.metrics_path.empty() || !oo.profile_path.empty()) &&
+    if ((!ro.metrics_path.empty() || !ro.profile_path.empty()) &&
         !runs_sim && !prove) {
         fprintf(stderr,
                 "anvilc: --metrics/--profile require --sim <N>, "
                 "--replay, or --prove\n");
         return kExitUsage;
     }
-    if ((oo.stats_json || !oo.slice_channel.empty() ||
-         !oo.hot_path.empty()) &&
+    if ((ro.stats_json || !job.slice_channel.empty() ||
+         !ro.hot_path.empty()) &&
         !runs_sim) {
         fprintf(stderr,
                 "anvilc: --stats-json/--slice/--profile-hot "
                 "require --sim <N> or --replay\n");
         return kExitUsage;
     }
-    if (!oo.slice_channel.empty() && vcd_path.empty()) {
+    if (!job.slice_channel.empty() && ro.vcd_path.empty()) {
         fprintf(stderr, "anvilc: --slice requires --vcd <file>\n");
         return kExitUsage;
     }
@@ -1355,20 +1090,29 @@ main(int argc, char **argv)
                         "--prove/--check-only\n");
         return kExitUsage;
     }
-    if (!runs_sim && check_trace_path.empty() && cov) {
+    if (!runs_sim && check_trace_path.empty() && ro.cov) {
         fprintf(stderr, "anvilc: --cov requires --sim <N>, "
                         "--replay, or --check-trace\n");
         return kExitUsage;
     }
     bool needs_module = runs_sim || !check_trace_path.empty() ||
-                        contracts || !contract_specs.empty() ||
-                        prove || emit_cpp;
+                        ro.monitored() || prove || emit_cpp;
     if ((needs_module || infer_contracts) && check_only) {
         fprintf(stderr, "anvilc: --sim/--replay/--check-trace/"
                         "--contracts/--prove/--infer-contracts "
                         "need codegen (drop --check-only)\n");
         return kExitUsage;
     }
+    if (flight) {
+        job.flight_pre = flight_pre ? flight_pre : flight;
+        for (const std::string &t : job.flight_triggers)
+            if (t.rfind("cover:", 0) == 0)
+                job.coverage = true;   // cover triggers poll coverage
+    }
+    if (ro.cov || ro.stats)
+        job.coverage = true;
+    if (seed_base_set)
+        job.seed = seed_base;
 
     std::ifstream in(input);
     if (!in) {
@@ -1393,7 +1137,7 @@ main(int argc, char **argv)
                    check.traceStr().c_str());
         }
     }
-    if (stats) {
+    if (ro.stats) {
         for (const auto &[name, s] : out.opt_stats) {
             printf("%-20s events %4d -> %4d", name.c_str(), s.before,
                    s.after);
@@ -1433,11 +1177,12 @@ main(int argc, char **argv)
     // when a contract consumer will read it — plain codegen and
     // contract-less --sim/--replay runs skip the re-elaboration it
     // costs.
-    bool wants_contracts = infer_contracts || prove || contracts ||
-        !contract_specs.empty() || !check_trace_path.empty();
+    bool wants_contracts = infer_contracts || prove ||
+        ro.monitored() || !check_trace_path.empty();
     formal::ContractSet typed;
     if (wants_contracts)
         typed = formal::inferContracts(out.program, out.top);
+    ro.typed = &typed;
     if (infer_contracts) {
         printf("infer-contracts: %s: %zu channel(s)\n",
                typed.top.c_str(), typed.channels.size());
@@ -1472,30 +1217,24 @@ main(int argc, char **argv)
             return kExitOk;
         }
         if (prove)
-            return proveDesign(mod, contract_specs, &typed,
-                               contracts, prove_k, prove_report,
-                               vcd_path, sweep_mode, oo);
+            return proveDesign(mod, ro, prove_k, prove_report);
         if (!check_trace_path.empty())
-            return checkTraceFile(mod, check_trace_path, contracts,
-                                  contract_specs, &typed, cov);
-        if (farm_workers > 0)
-            return farm(mod, sim_cycles, farm_workers,
-                        seed_base_set ? seed_base : seed, cov,
-                        stats, contracts, contract_specs, &typed,
-                        sweep_mode, compiled_backend, oo);
-        if (!replay_path.empty())
-            return replay(mod, replay_path, sim_cycles, vcd_path,
-                          cov, stats, contracts, contract_specs,
-                          &typed, sweep_mode, compiled_backend, oo);
-        if (sim_cycles > 0)
-            return simulate(mod, sim_cycles, seed, vcd_path, cov,
-                            stats, contracts, contract_specs,
-                            &typed, sweep_mode, compiled_backend,
-                            oo);
+            return checkTraceFile(mod, ro, check_trace_path);
+        if (runs_sim) {
+            // One elaboration serves the contracts, the JIT and the
+            // run (every farm worker shares it).
+            job.top = mod;
+            job.netlist = std::make_shared<const rtl::Netlist>(*mod);
+            if (farm_workers > 0)
+                return farm(ro, farm_workers);
+            if (!replay_path.empty())
+                return replay(ro, replay_path);
+            return runSingle(ro, job);
+        }
         // --contracts / --contract alone: print the contract set.
         rtl::Sim sim(mod);
         std::vector<trace::ContractSpec> specs;
-        if (!resolveContracts(contract_specs, sim.netlist(), &typed,
+        if (!resolveContracts(ro.contract_specs, sim.netlist(), &typed,
                               true, &specs))
             return kExitUsage;
     }

@@ -5,9 +5,14 @@
 #include <stdexcept>
 #include <thread>
 
+#include "obs/activity.h"
+#include "obs/flight.h"
+#include "obs/hot.h"
 #include "obs/merge.h"
 #include "obs/profiler.h"
+#include "obs/slice.h"
 #include "obs/stream.h"
+#include "obs/triage.h"
 #include "support/strings.h"
 
 namespace anvil {
@@ -15,23 +20,18 @@ namespace run {
 
 namespace {
 
-/** The event-driven sweep's activity factor, as the stats line
- *  reports it: nodes evaluated vs. the whole strict table. */
-double
-activityPct(const rtl::SweepStats &ss)
-{
-    return ss.strict_nodes
-        ? 100.0 * ss.avgNodes() / static_cast<double>(ss.strict_nodes)
-        : 0.0;
-}
-
-} // namespace
-
-bool
+/**
+ * Resolve `--dump-on` trigger specs onto a flight recorder:
+ * "VIOLATION" polls the bench's total failure count (contract
+ * violations, scoreboard and assertion failures), "cover:NAME" polls
+ * the named cover point's hit count.  An empty spec list means
+ * VIOLATION.  Throws std::invalid_argument on an unknown spec or a
+ * cover trigger whose point does not exist (or coverage is off).
+ */
+void
 attachFlightTriggers(obs::FlightRecorder &rec, tb::Testbench &bench,
                      const tb::Coverage *coverage,
-                     const std::vector<std::string> &specs,
-                     std::string *err)
+                     const std::vector<std::string> &specs)
 {
     std::vector<std::string> use = specs;
     if (use.empty())
@@ -46,24 +46,18 @@ attachFlightTriggers(obs::FlightRecorder &rec, tb::Testbench &bench,
         }
         if (spec.rfind("cover:", 0) == 0) {
             std::string name = spec.substr(6);
-            if (!coverage) {
-                if (err)
-                    *err = "--dump-on " + spec +
-                           " needs the coverage engine";
-                return false;
-            }
+            if (!coverage)
+                throw std::invalid_argument(
+                    "--dump-on " + spec + " needs the coverage engine");
             bool found = false;
             for (const tb::CoverPoint &p : coverage->covers())
                 if (p.name == name) {
                     found = true;
                     break;
                 }
-            if (!found) {
-                if (err)
-                    *err = "--dump-on " + spec +
-                           ": no such cover point";
-                return false;
-            }
+            if (!found)
+                throw std::invalid_argument(
+                    "--dump-on " + spec + ": no such cover point");
             const tb::Coverage *cov = coverage;
             rec.addTrigger(spec, [cov, name]() -> uint64_t {
                 for (const tb::CoverPoint &p : cov->covers())
@@ -73,19 +67,22 @@ attachFlightTriggers(obs::FlightRecorder &rec, tb::Testbench &bench,
             });
             continue;
         }
-        if (err)
-            *err = "bad --dump-on trigger '" + spec +
-                   "' (expected VIOLATION or cover:NAME)";
-        return false;
+        throw std::invalid_argument(
+            "bad --dump-on trigger '" + spec +
+            "' (expected VIOLATION or cover:NAME)");
     }
-    return true;
 }
 
+/**
+ * Assemble the metrics registry from every spine a run exposes.
+ * Null spines (no coverage, no plugins) skip their sections; the
+ * layout is the same for a single run and a farm worker.
+ */
 void
 collectRunMetrics(obs::MetricsRegistry &reg, tb::Testbench &bench,
                   const tb::TbResult &result,
                   const tb::Coverage *coverage,
-                  const obs::TraceProfiler *profiler,
+                  const obs::TraceProfiler &profiler,
                   const codegen::JitResult *jit, uint64_t wall_ns,
                   const obs::RollingActivity *activity,
                   const obs::AssertionTriage *triage)
@@ -112,7 +109,7 @@ collectRunMetrics(obs::MetricsRegistry &reg, tb::Testbench &bench,
         ss.kernel_fallback_switches;
     reg.counter("backend.compiled") =
         bench.sim().kernelAttached() ? 1 : 0;
-    reg.gauge("sweep.activity_pct") = activityPct(ss);
+    reg.gauge("sweep.activity_pct") = ss.activityPct();
     if (jit) {
         reg.counter("jit.cache_hit") = jit->cache_hit ? 1 : 0;
         reg.timerNs("jit.compile") = jit->compile_ns;
@@ -134,9 +131,8 @@ collectRunMetrics(obs::MetricsRegistry &reg, tb::Testbench &bench,
         bench.feed().levelActivity();
     for (size_t i = 0; i < levels.size(); i++)
         lvl.bump(i, levels[i]);
-    if (profiler)
-        for (const auto &t : profiler->totals())
-            reg.timerNs("phase." + t.name) = t.ns;
+    for (const auto &t : profiler.totals())
+        reg.timerNs("phase." + t.name) = t.ns;
     if (activity)
         activity->exportMetrics(reg);
     if (triage)
@@ -144,6 +140,11 @@ collectRunMetrics(obs::MetricsRegistry &reg, tb::Testbench &bench,
     reg.timerNs("run.wall") = wall_ns;
 }
 
+/**
+ * Emit the end-of-run event tail: coverage snapshot, metrics
+ * snapshot, per-level activity, run_end.  Call after
+ * bench.feed().finish().
+ */
 void
 emitRunTail(obs::EventSink &sink, tb::Testbench &bench,
             const tb::TbResult &result, const tb::Coverage *coverage,
@@ -157,118 +158,170 @@ emitRunTail(obs::EventSink &sink, tb::Testbench &bench,
     sink.runEnd(result.cycles, bench.sim().totalToggles(),
                 result.failures.size(), wall_ns,
                 bench.sim().kernelAttached(),
-                activityPct(bench.sim().sweepStats()));
+                bench.sim().sweepStats().activityPct());
 }
 
-JobResult
-runJob(const JobConfig &cfg)
+} // namespace
+
+Backend
+compileBackend(const rtl::Netlist &nl)
 {
-    std::ostringstream es;
-    obs::EventSink sink(es);
+    Backend b;
+    b.jit = codegen::jitCompileKernel(nl);
+    if (b.jit.kernel)
+        b.kernel = codegen::kernelRef(b.jit.kernel);
+    else
+        b.note = b.jit.error.empty() ? "jit unavailable" : b.jit.error;
+    return b;
+}
 
-    // Non-movable spine: heap-construct so nothing relocates under
-    // the feed's observer pointers.
-    auto bench = std::make_unique<tb::Testbench>(cfg.top, cfg.netlist,
-                                                cfg.seed);
-    bench->sim().setSweepMode(cfg.sweep_mode);
-    if (cfg.kernel.abi)
-        bench->sim().attachKernel(cfg.kernel);   // false: interpreter
+Job::Job(const JobConfig &cfg)
+    : _cycles(cfg.cycles), _seed(cfg.seed), _worker(cfg.worker),
+      _backend(cfg.backend), _count_hot(cfg.hot),
+      _bench(cfg.top, cfg.netlist, cfg.seed)
+{
+    if (cfg.events)
+        _sink = std::make_unique<obs::EventSink>(*cfg.events);
+    // One profiler feeds both the simulator's phase timing and the
+    // change feed's per-observer tracks; trace events are only kept
+    // when a profile will be written.
+    if (cfg.metrics || _sink)
+        _profiler =
+            std::make_unique<obs::TraceProfiler>(cfg.profile_events);
 
-    // Mirror the single-run telemetry spine (anvilc --metrics): a
-    // profiler feeds phase timers and the level-activity histogram,
-    // keeping worker metrics byte-comparable with single-run ones.
-    obs::TraceProfiler profiler(/*record_events=*/false);
-    bench->sim().setTelemetry(&profiler);
-    bench->feed().setProfiler(&profiler);
+    rtl::Sim &sim = _bench.sim();
+    sim.setSweepMode(cfg.sweep_mode);
+    if (cfg.hot)
+        sim.setEvalCounting(true);
+    if (_backend && _backend->kernel.abi)
+        sim.attachKernel(_backend->kernel);   // false: interpreter
+    if (_profiler) {
+        sim.setTelemetry(_profiler.get());
+        _bench.feed().setProfiler(_profiler.get());
+    }
 
-    for (const auto &in : bench->sim().inputNames())
-        bench->driveRandom(in);
+    if (cfg.stimulus)
+        cfg.stimulus(_bench);
+    else
+        for (const auto &in : sim.inputNames())
+            _bench.driveRandom(in);
 
     trace::ContractMonitor *monitor = nullptr;
     if (!cfg.contracts.empty())
         monitor = static_cast<trace::ContractMonitor *>(
-            &bench->addMonitor(
-                std::make_unique<trace::ContractMonitor>(
-                    cfg.contracts, bench->sim())));
+            &_bench.addMonitor(
+                std::make_unique<trace::ContractMonitor>(cfg.contracts,
+                                                         sim)));
 
-    tb::Coverage *cov = cfg.coverage ? &bench->coverage() : nullptr;
+    if (cfg.coverage)
+        _coverage = &_bench.coverage();
 
-    obs::AssertionTriage *triage = nullptr;
-    if (monitor)
-        triage = static_cast<obs::AssertionTriage *>(
-            &bench->attachObserver(
+    // The stream-side plugins ride along whenever the run streams
+    // events, so every stream (single run or farm worker) merges and
+    // compares cleanly against every other.
+    if (_sink && monitor)
+        _triage = static_cast<obs::AssertionTriage *>(
+            &_bench.attachObserver(
                 std::make_unique<obs::AssertionTriage>(*monitor,
-                                                       &sink)));
-    obs::RollingActivity *activity = nullptr;
-    if (cfg.activity_window)
-        activity = static_cast<obs::RollingActivity *>(
-            &bench->attachObserver(
+                                                       _sink.get())));
+    if (_sink && cfg.activity_window)
+        _activity = static_cast<obs::RollingActivity *>(
+            &_bench.attachObserver(
                 std::make_unique<obs::RollingActivity>(
-                    cfg.activity_window, &sink)));
+                    cfg.activity_window, _sink.get())));
 
-    // Flight recorder last, so its trigger poll sees the cycle's
-    // monitor and coverage updates.  Dumps go to
-    // <prefix>.w<worker>-<n>.vcd and are referenced from the event
-    // stream (window_dump), which the merger dedupes by path.
-    obs::FlightRecorder *flight = nullptr;
+    // Flight recorder after the monitor and coverage, so its trigger
+    // poll sees the cycle's updates.  Each dump lands at
+    // <prefix>-<n>.vcd and is referenced from the stream
+    // (window_dump), which the merger dedupes by path.
     if (cfg.flight_pre) {
         obs::FlightRecorder::Options fo;
         fo.pre = cfg.flight_pre;
         fo.post = cfg.flight_post;
-        auto rec = std::make_unique<obs::FlightRecorder>(
-            bench->sim(), fo);
-        std::string err;
-        if (!attachFlightTriggers(*rec, *bench, cov,
-                                  cfg.flight_triggers, &err))
-            throw std::runtime_error(err);
+        auto rec = std::make_unique<obs::FlightRecorder>(sim, fo);
+        attachFlightTriggers(*rec, _bench, _coverage,
+                             cfg.flight_triggers);
         std::string prefix = cfg.flight_out;
-        int worker = cfg.worker;
-        obs::EventSink *esink = &sink;
-        rec->setDumpSink(
-            [prefix, worker,
-             esink](const obs::FlightRecorder::DumpInfo &d,
-                    const std::string &vcd) {
-                std::string path;
-                if (!prefix.empty()) {
-                    path = strfmt("%s.w%d-%d.vcd", prefix.c_str(),
-                                  worker, d.index);
-                    std::ofstream os(path);
-                    os << vcd;
-                    os.flush();
-                    if (!os.good())
-                        path.clear();
+        rec->setDumpSink([this, prefix](
+                             const obs::FlightRecorder::DumpInfo &d,
+                             const std::string &vcd) {
+            std::string path;
+            if (!prefix.empty()) {
+                path = strfmt("%s-%d.vcd", prefix.c_str(), d.index);
+                std::ofstream os(path);
+                os << vcd;
+                os.flush();
+                if (!os.good()) {
+                    _dump_errors.push_back(path);
+                    path.clear();
                 }
-                esink->windowDump(d.trigger_cycle, d.trigger, path,
+            }
+            if (_sink)
+                _sink->windowDump(d.trigger_cycle, d.trigger, path,
                                   d.from, d.to);
-                return path;
-            });
-        flight = static_cast<obs::FlightRecorder *>(
-            &bench->attachObserver(std::move(rec)));
+            return path;
+        });
+        _flight = static_cast<obs::FlightRecorder *>(
+            &_bench.attachObserver(std::move(rec)));
     }
 
-    sink.runBegin(bench->sim().topName(), cfg.worker, cfg.seed,
-                  cfg.cycles, bench->sim().sweepMode());
+    if (cfg.waves) {
+        if (cfg.slice_channel.empty())
+            _bench.attachVcd(*cfg.waves);
+        else
+            _bench.attachObserver(std::make_unique<obs::ChannelSlicer>(
+                sim, *cfg.waves, cfg.slice_channel));
+    }
+}
+
+Job::~Job() = default;
+
+const tb::TbResult &
+Job::run()
+{
+    if (_sink)
+        _sink->runBegin(_bench.sim().topName(), _worker, _seed,
+                        _cycles, _bench.sim().sweepMode());
 
     uint64_t wall0 = rtl::monotonicNanos();
-    tb::TbResult result = bench->run(cfg.cycles);
-    uint64_t wall_ns = rtl::monotonicNanos() - wall0;
-    bench->feed().finish();
+    _result = _bench.run(_cycles);
+    _wall_ns = rtl::monotonicNanos() - wall0;
+    _bench.feed().finish();
 
-    obs::MetricsRegistry reg;
-    collectRunMetrics(reg, *bench, result, cov, &profiler, cfg.jit,
-                      wall_ns, activity, triage);
-    if (flight)
-        flight->exportMetrics(reg);
-    emitRunTail(sink, *bench, result, cov, reg, wall_ns);
+    if (_count_hot)
+        _hot = std::make_unique<obs::HotReport>(
+            obs::buildHotReport(_bench.sim()));
+    if (!_profiler)
+        return _result;
+    collectRunMetrics(_metrics, _bench, _result, _coverage, *_profiler,
+                      _backend ? &_backend->jit : nullptr, _wall_ns,
+                      _activity, _triage);
+    if (_flight)
+        _flight->exportMetrics(_metrics);
+    if (_hot)
+        _hot->exportMetrics(_metrics);
+    if (_sink)
+        emitRunTail(*_sink, _bench, _result, _coverage, _metrics,
+                    _wall_ns);
+    return _result;
+}
+
+JobResult
+runJob(JobConfig cfg)
+{
+    std::ostringstream es;
+    cfg.events = &es;
+    Job job(cfg);
+    const tb::TbResult &result = job.run();
 
     JobResult jr;
     jr.worker = cfg.worker;
     jr.seed = cfg.seed;
     jr.ok = result.ok();
     jr.cycles = result.cycles;
-    jr.toggles = bench->sim().totalToggles();
+    jr.toggles = job.bench().sim().totalToggles();
     jr.failures = result.failures.size();
-    jr.wall_ns = wall_ns;
+    jr.wall_ns = job.wallNs();
     jr.summary = result.summary();
     jr.events = es.str();
     return jr;
@@ -277,6 +330,10 @@ runJob(const JobConfig &cfg)
 FarmResult
 runFarm(const FarmConfig &cfg, obs::Merger &merger)
 {
+    if (cfg.workers < 1 || cfg.workers > kMaxFarmWorkers)
+        throw std::invalid_argument(
+            strfmt("farm worker count %d outside 1..%d", cfg.workers,
+                   kMaxFarmWorkers));
     FarmResult fr;
     uint64_t wall0 = rtl::monotonicNanos();
 
@@ -287,51 +344,46 @@ runFarm(const FarmConfig &cfg, obs::Merger &merger)
 
     // JIT once; the kernel object is shared, each Sim gets its own
     // kernel context on attach.
-    codegen::JitResult jit;
-    rtl::KernelRef kernel;
+    Backend backend;
     if (cfg.compiled_backend) {
-        jit = codegen::jitCompileKernel(*netlist);
-        if (jit.kernel)
-            kernel = codegen::kernelRef(jit.kernel);
-        else
-            fr.jit_note = jit.error.empty() ? "jit unavailable"
-                                            : jit.error;
+        backend = compileBackend(*netlist);
+        fr.jit_note = backend.note;
     }
 
     std::vector<JobConfig> jobs(static_cast<size_t>(cfg.workers));
     for (int w = 0; w < cfg.workers; w++) {
         JobConfig &jc = jobs[static_cast<size_t>(w)];
-        jc.top = cfg.top;
+        static_cast<RunSpec &>(jc) = cfg;
         jc.netlist = netlist;
         jc.seed = cfg.seed_base + static_cast<uint64_t>(w);
         jc.worker = w;
-        jc.cycles = cfg.cycles;
-        jc.sweep_mode = cfg.sweep_mode;
-        jc.kernel = kernel;
-        jc.jit = cfg.compiled_backend ? &jit : nullptr;
-        jc.contracts = cfg.contracts;
-        jc.coverage = cfg.coverage;
-        jc.activity_window = cfg.activity_window;
-        jc.flight_pre = cfg.flight_pre;
-        jc.flight_post = cfg.flight_post;
-        jc.flight_triggers = cfg.flight_triggers;
-        jc.flight_out = cfg.flight_out;
+        jc.backend = cfg.compiled_backend ? &backend : nullptr;
+        if (!cfg.flight_out.empty())
+            jc.flight_out = strfmt("%s.w%d", cfg.flight_out.c_str(), w);
     }
 
     fr.jobs.resize(jobs.size());
     std::vector<std::thread> threads;
     threads.reserve(jobs.size());
-    for (size_t w = 0; w < jobs.size(); w++)
-        threads.emplace_back([&fr, &jobs, w]() {
-            try {
-                fr.jobs[w] = runJob(jobs[w]);
-            } catch (const std::exception &e) {
-                fr.jobs[w].worker = static_cast<int>(w);
-                fr.jobs[w].seed = jobs[w].seed;
-                fr.jobs[w].summary =
-                    strfmt("worker exception: %s", e.what());
-            }
-        });
+    auto work = [&fr, &jobs](size_t w) {
+        try {
+            fr.jobs[w] = runJob(jobs[w]);
+        } catch (const std::exception &e) {
+            fr.jobs[w].worker = static_cast<int>(w);
+            fr.jobs[w].seed = jobs[w].seed;
+            fr.jobs[w].summary = strfmt("worker exception: %s", e.what());
+        }
+    };
+    try {
+        for (size_t w = 0; w < jobs.size(); w++)
+            threads.emplace_back(work, w);
+    } catch (...) {
+        // A thread that cannot be created must not leave the started
+        // ones joinable at unwind (std::terminate).
+        for (std::thread &t : threads)
+            t.join();
+        throw;
+    }
     for (std::thread &t : threads)
         t.join();
     fr.wall_ns = rtl::monotonicNanos() - wall0;

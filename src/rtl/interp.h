@@ -140,6 +140,14 @@ struct SweepStats
                             static_cast<double>(cycles)
                       : 0.0;
     }
+    /** Activity factor: the percentage of the strict table evaluated
+     *  per cycle, on average. */
+    double activityPct() const
+    {
+        return strict_nodes ? 100.0 * avgNodes() /
+                                  static_cast<double>(strict_nodes)
+                            : 0.0;
+    }
     double avgChanged() const
     {
         return cycles ? static_cast<double>(nets_changed) /

@@ -68,10 +68,13 @@ ReplayMonitor::observe(rtl::Sim &sim, uint64_t cycle)
 }
 
 uint64_t
-attachReplay(tb::Testbench &bench, const Trace &t, bool check)
+attachReplay(tb::Testbench &bench, const Trace &t, bool check,
+             std::vector<std::string> *missing)
 {
     auto driver = std::make_unique<ReplayDriver>(t, bench.sim());
     uint64_t cycles = driver->cyclesAvailable();
+    if (missing)
+        *missing = driver->missingInputs();
     bench.addDriver(std::move(driver));
     if (check)
         bench.addMonitor(

@@ -87,10 +87,12 @@ class ReplayMonitor : public tb::Monitor
 
 /**
  * Convenience: attach a ReplayDriver and (optionally) a
- * ReplayMonitor to a bench.  Returns the cycle count to run.
+ * ReplayMonitor to a bench.  Returns the cycle count to run; the
+ * inputs the trace never recorded go to `missing` when given.
  */
 uint64_t attachReplay(tb::Testbench &bench, const Trace &t,
-                      bool check = true);
+                      bool check = true,
+                      std::vector<std::string> *missing = nullptr);
 
 /**
  * Coverage replay: grade a recorded trace against a design's

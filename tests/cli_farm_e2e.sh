@@ -11,8 +11,8 @@
 #     N-seed union: each seed run alone with --events, then merged,
 #  4. `--farm 1` matches a plain single `--sim` run at the same seed,
 #     down to the event stream itself (wall-clock fields excluded),
-#  5. farm and --sweep flag validation is a usage error, not a silent
-#     ignore.
+#  5. farm, --sweep and numeric flag validation is a usage error, not
+#     a silent ignore.
 #
 # Usage: cli_farm_e2e.sh <anvilc> <repo-root> <json_validate> <anvil_merge>
 set -e
@@ -142,5 +142,27 @@ for mode in threaded threaded:2; do
         sweep_usage.log || { echo "--sweep $mode: wrong diagnostic" \
                              >&2; exit 1; }
 done
+# Numeric flags parse strictly: no trailing characters, no sign, no
+# empty value, nothing out of range (--farm is capped at 1024
+# workers).  Every case also carries --prove with --sim, a conflict a
+# lenient parser would still reject with exit 2, so no case can ever
+# simulate or start a thread.
+for bad in "--sim 10x" "--sim -5" "--sim +5" "--sim 0" \
+           "--sim 99999999999999999999" "--seed abc" "--seed -1" \
+           "--seed-base 1x" "--farm 0" "--farm 2x" "--farm 1025" \
+           "--farm 99999999999" "--flight 3x" "--flight-pre 0" \
+           "--flight-post -1" "--prove 99999999999"; do
+    flag=${bad%% *}
+    value=${bad#* }
+    "$ANVILC" "$DESIGN" --sim 5 --prove "$flag" "$value" \
+        2> num_usage.log
+    test "$?" -eq 2 || { echo "$bad not rejected" >&2; exit 1; }
+    grep -qF "bad $flag value '$value'" num_usage.log \
+        || { echo "$bad: wrong diagnostic" >&2; exit 1; }
+done
+"$ANVILC" "$DESIGN" --sim 5 --prove --sim "" 2> num_usage.log
+test "$?" -eq 2 || { echo "empty --sim not rejected" >&2; exit 1; }
+grep -qF "bad --sim value ''" num_usage.log \
+    || { echo "empty --sim: wrong diagnostic" >&2; exit 1; }
 set -e
 echo "farm flag validation rejects inconsistent invocations"

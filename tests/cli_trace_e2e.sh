@@ -16,12 +16,18 @@
 #  8. --infer-contracts prints the typed obligations/assumptions,
 #  9. --prove discharges quickstart's and listing2's obligations
 #     (exit 0), and a mis-annotated listing2 is disproved (exit 1)
-#     with a counterexample VCD that --check-trace flags in turn.
+#     with a counterexample VCD that --check-trace flags in turn,
+# 10. a replay with telemetry sinks (--metrics, --profile,
+#     --profile-hot, --stats-json) writes artifacts that validate
+#     against the schemas under docs/schemas/ and still reproduces
+#     the recording.
 #
-# Usage: cli_trace_e2e.sh <path-to-anvilc> <repo-root>
+# Usage: cli_trace_e2e.sh <path-to-anvilc> <repo-root> <json_validate>
 set -e
 ANVILC="$1"
 SRC="$2"
+VALIDATE="$3"
+SCHEMAS="$SRC/docs/schemas"
 DESIGN="$SRC/examples/quickstart.anvil"
 
 "$ANVILC" "$DESIGN" --sim 200 --seed 11 --vcd cli_a.vcd --stats \
@@ -103,3 +109,24 @@ set -e
 test "$status" -eq 1
 grep -q 'io_req \[ack-within\]' cli_cex.log
 echo "prover proves healthy designs and refutes the mis-annotation"
+
+# --- Replay with telemetry sinks -----------------------------------------
+
+# A replayed run reports through the same telemetry spine as a live
+# one: every artifact validates, and the re-dump and coverage summary
+# still match the recording.
+"$ANVILC" "$DESIGN" --replay cli_a.vcd --vcd cli_t.vcd --stats \
+    --metrics cli_t.metrics.json --profile cli_t.trace.json \
+    --profile-hot cli_t.hot.json --stats-json > cli_t.log
+cmp cli_a.vcd cli_t.vcd
+grep '^sim-summary' cli_t.log > cli_t.sum
+cmp cli_a.sum cli_t.sum
+grep '^stats-json ' cli_t.log | sed 's/^stats-json //' \
+    > cli_t.stats.json
+grep -q '"cycles":200,' cli_t.stats.json
+grep -q '"failures":0,' cli_t.stats.json
+"$VALIDATE" "$SCHEMAS/metrics.schema.json" cli_t.metrics.json
+"$VALIDATE" "$SCHEMAS/profile.schema.json" cli_t.trace.json
+"$VALIDATE" "$SCHEMAS/stats.schema.json" cli_t.stats.json
+"$VALIDATE" "$SCHEMAS/hot.schema.json" cli_t.hot.json
+echo "replay telemetry validates and still reproduces the recording"

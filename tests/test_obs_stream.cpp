@@ -19,10 +19,8 @@
 
 #include "anvil/sim_runner.h"
 #include "harness.h"
-#include "obs/activity.h"
 #include "obs/merge.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/stream.h"
 #include "obs/triage.h"
 #include "rtl/rtl.h"
@@ -63,8 +61,8 @@ pingModule()
     return m;
 }
 
-/** One full single-run spine with every plugin attached, mirroring
- *  what run::runJob (and anvilc --events) wires up. */
+/** One single run through the production spine (run::Job) with every
+ *  plugin attached: contracts, coverage, triage, rolling activity. */
 struct SpineRun
 {
     std::string events;
@@ -79,56 +77,25 @@ SpineRun
 runSpine(uint64_t seed, int worker, uint64_t cycles)
 {
     std::ostringstream es;
-    obs::EventSink sink(es);
-
-    auto bench = std::make_unique<tb::Testbench>(pingModule(), seed);
-    obs::TraceProfiler profiler(false);
-    bench->sim().setTelemetry(&profiler);
-    bench->feed().setProfiler(&profiler);
-
-    for (const auto &in : bench->sim().inputNames())
-        bench->driveRandom(in);
-
-    std::vector<trace::ContractSpec> specs =
-        trace::inferContracts(bench->sim().netlist());
-    trace::ContractMonitor *monitor = nullptr;
-    if (!specs.empty())
-        monitor = static_cast<trace::ContractMonitor *>(
-            &bench->addMonitor(
-                std::make_unique<trace::ContractMonitor>(
-                    specs, bench->sim())));
-
-    tb::Coverage &cov = bench->coverage();
-
-    obs::AssertionTriage *triage = nullptr;
-    if (monitor)
-        triage = static_cast<obs::AssertionTriage *>(
-            &bench->attachObserver(
-                std::make_unique<obs::AssertionTriage>(*monitor,
-                                                       &sink)));
-    auto *activity = static_cast<obs::RollingActivity *>(
-        &bench->attachObserver(
-            std::make_unique<obs::RollingActivity>(16, &sink)));
-
-    sink.runBegin(bench->sim().topName(), worker, seed, cycles,
-                  bench->sim().sweepMode());
-    tb::TbResult result = bench->run(cycles);
-    bench->feed().finish();
-
-    obs::MetricsRegistry reg;
-    run::collectRunMetrics(reg, *bench, result, &cov, &profiler,
-                           nullptr, /*wall_ns=*/12345, activity,
-                           triage);
-    run::emitRunTail(sink, *bench, result, &cov, reg,
-                     /*wall_ns=*/12345);
+    run::JobConfig jc;
+    jc.top = pingModule();
+    jc.seed = seed;
+    jc.worker = worker;
+    jc.cycles = cycles;
+    jc.contracts = trace::inferContracts(rtl::Netlist(*jc.top));
+    jc.coverage = true;
+    jc.activity_window = 16;
+    jc.events = &es;
+    run::Job job(jc);
+    const tb::TbResult &result = job.run();
 
     SpineRun sr;
     sr.events = es.str();
-    sr.cov_report = cov.report();
-    sr.cov_summary = cov.summaryJson();
-    sr.metrics = reg.json(false);
+    sr.cov_report = job.coverage()->report();
+    sr.cov_summary = job.coverage()->summaryJson();
+    sr.metrics = job.metrics().json(false);
     sr.cycles = result.cycles;
-    sr.toggles = bench->sim().totalToggles();
+    sr.toggles = job.bench().sim().totalToggles();
     return sr;
 }
 
