@@ -67,9 +67,8 @@
  *                    the --flight argument)
  *     --flight-post <Q> cycles captured after a trigger before the
  *                    dump flushes (default 8)
- *     --dump-on <t>  flight trigger (repeatable): VIOLATION (any
- *                    testbench/contract failure; the default) or
- *                    cover:NAME (a named cover point's hit count)
+ *     --dump-on <t>  flight trigger; only VIOLATION (any testbench
+ *                    or contract failure), which is always armed
  *     --flight-out <p>  window dump path prefix (default "flight");
  *                    dumps land at <p>-<n>.vcd (farm workers:
  *                    <p>.w<worker>-<n>.vcd)
@@ -189,8 +188,7 @@ usage()
             "                 cycles; dump a VCD window on trigger\n"
             "  --flight-pre <P>  pre-trigger context override\n"
             "  --flight-post <Q> post-trigger capture (default 8)\n"
-            "  --dump-on <t>  flight trigger: VIOLATION (default)\n"
-            "                 or cover:NAME (repeatable)\n"
+            "  --dump-on <t>  flight trigger: VIOLATION\n"
             "  --flight-out <p>  dump prefix (default \"flight\")\n"
             "  --profile-hot <f> write the hot-spot attribution\n"
             "                 report (levels, nets, cones) to <f>\n"
@@ -936,26 +934,25 @@ main(int argc, char **argv)
             diff_a = argv[++i];
             diff_b = argv[++i];
         } else if (arg == "--flight" && i + 1 < argc) {
-            if (!number(1, kMaxCount, &flight))
+            if (!number(1, obs::kMaxFlightWindow, &flight))
                 return kExitUsage;
         } else if (arg == "--flight-pre" && i + 1 < argc) {
-            if (!number(1, kMaxCount, &flight_pre))
+            if (!number(1, obs::kMaxFlightWindow, &flight_pre))
                 return kExitUsage;
             flight_aux = true;
         } else if (arg == "--flight-post" && i + 1 < argc) {
-            if (!number(0, kMaxCount, &job.flight_post))
+            if (!number(0, obs::kMaxFlightWindow, &job.flight_post))
                 return kExitUsage;
             flight_aux = true;
         } else if (arg == "--dump-on" && i + 1 < argc) {
             std::string t = argv[++i];
-            if (t != "VIOLATION" && t.rfind("cover:", 0) != 0) {
+            if (t != "VIOLATION") {
                 fprintf(stderr,
                         "anvilc: bad --dump-on trigger '%s' "
-                        "(expected VIOLATION or cover:NAME)\n",
+                        "(expected VIOLATION)\n",
                         t.c_str());
                 return kExitUsage;
             }
-            job.flight_triggers.push_back(std::move(t));
             flight_aux = true;
         } else if (arg == "--flight-out" && i + 1 < argc) {
             job.flight_out = argv[++i];
@@ -1103,12 +1100,8 @@ main(int argc, char **argv)
                         "need codegen (drop --check-only)\n");
         return kExitUsage;
     }
-    if (flight) {
+    if (flight)
         job.flight_pre = flight_pre ? flight_pre : flight;
-        for (const std::string &t : job.flight_triggers)
-            if (t.rfind("cover:", 0) == 0)
-                job.coverage = true;   // cover triggers poll coverage
-    }
     if (ro.cov || ro.stats)
         job.coverage = true;
     if (seed_base_set)

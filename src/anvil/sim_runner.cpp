@@ -21,59 +21,6 @@ namespace run {
 namespace {
 
 /**
- * Resolve `--dump-on` trigger specs onto a flight recorder:
- * "VIOLATION" polls the bench's total failure count (contract
- * violations, scoreboard and assertion failures), "cover:NAME" polls
- * the named cover point's hit count.  An empty spec list means
- * VIOLATION.  Throws std::invalid_argument on an unknown spec or a
- * cover trigger whose point does not exist (or coverage is off).
- */
-void
-attachFlightTriggers(obs::FlightRecorder &rec, tb::Testbench &bench,
-                     const tb::Coverage *coverage,
-                     const std::vector<std::string> &specs)
-{
-    std::vector<std::string> use = specs;
-    if (use.empty())
-        use.push_back("VIOLATION");
-    for (const std::string &spec : use) {
-        if (spec == "VIOLATION") {
-            tb::Testbench *b = &bench;
-            rec.addTrigger("VIOLATION", [b]() {
-                return static_cast<uint64_t>(b->totalFailures());
-            });
-            continue;
-        }
-        if (spec.rfind("cover:", 0) == 0) {
-            std::string name = spec.substr(6);
-            if (!coverage)
-                throw std::invalid_argument(
-                    "--dump-on " + spec + " needs the coverage engine");
-            bool found = false;
-            for (const tb::CoverPoint &p : coverage->covers())
-                if (p.name == name) {
-                    found = true;
-                    break;
-                }
-            if (!found)
-                throw std::invalid_argument(
-                    "--dump-on " + spec + ": no such cover point");
-            const tb::Coverage *cov = coverage;
-            rec.addTrigger(spec, [cov, name]() -> uint64_t {
-                for (const tb::CoverPoint &p : cov->covers())
-                    if (p.name == name)
-                        return p.hits;
-                return 0;
-            });
-            continue;
-        }
-        throw std::invalid_argument(
-            "bad --dump-on trigger '" + spec +
-            "' (expected VIOLATION or cover:NAME)");
-    }
-}
-
-/**
  * Assemble the metrics registry from every spine a run exposes.
  * Null spines (no coverage, no plugins) skip their sections; the
  * layout is the same for a single run and a farm worker.
@@ -231,16 +178,19 @@ Job::Job(const JobConfig &cfg)
                     cfg.activity_window, _sink.get())));
 
     // Flight recorder after the monitor and coverage, so its trigger
-    // poll sees the cycle's updates.  Each dump lands at
-    // <prefix>-<n>.vcd and is referenced from the stream
-    // (window_dump), which the merger dedupes by path.
+    // poll sees the cycle's updates.  It arms on VIOLATION: the
+    // bench's total failure count (contract violations, scoreboard
+    // and assertion failures).  Each dump lands at <prefix>-<n>.vcd
+    // and is referenced from the stream (window_dump), which the
+    // merger dedupes by path.
     if (cfg.flight_pre) {
         obs::FlightRecorder::Options fo;
         fo.pre = cfg.flight_pre;
         fo.post = cfg.flight_post;
         auto rec = std::make_unique<obs::FlightRecorder>(sim, fo);
-        attachFlightTriggers(*rec, _bench, _coverage,
-                             cfg.flight_triggers);
+        rec->addTrigger("VIOLATION", [this]() {
+            return static_cast<uint64_t>(_bench.totalFailures());
+        });
         std::string prefix = cfg.flight_out;
         rec->setDumpSink([this, prefix](
                              const obs::FlightRecorder::DumpInfo &d,

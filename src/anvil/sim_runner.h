@@ -68,13 +68,12 @@ struct RunSpec
     /** Rolling-activity window length K for streamed runs; 0
      *  disables the plugin. */
     uint64_t activity_window = 64;
-    /** Flight-recorder pre-trigger window; 0 disables the recorder. */
+    /** Flight-recorder pre-trigger window; 0 disables the recorder,
+     *  which arms on VIOLATION (any bench failure).  Both windows are
+     *  at most obs::kMaxFlightWindow. */
     uint64_t flight_pre = 0;
     /** Cycles captured after a trigger before the window flushes. */
     uint64_t flight_post = 8;
-    /** Trigger specs ("VIOLATION" / "cover:NAME"); empty means
-     *  VIOLATION. */
-    std::vector<std::string> flight_triggers;
     /** Window dump path prefix: dumps land at <prefix>-<n>.vcd (a
      *  farm makes it <prefix>.w<worker> per job).  Empty keeps the
      *  dumps stream-only (window_dump events with no path). */
@@ -123,7 +122,7 @@ struct JobConfig : RunSpec
 /**
  * One configured run.  The constructor builds the bench and attaches
  * everything; it throws std::invalid_argument on a bad contract
- * spec, flight trigger or slice channel.  Not movable: observers
+ * spec, flight window or slice channel.  Not movable: observers
  * hold pointers into it.
  */
 class Job

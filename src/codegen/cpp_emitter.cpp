@@ -1001,8 +1001,8 @@ static void k_level_stats(void *ctx, uint64_t *out)
 }
 )";
 
-    os << "\nstatic const AnvilKernelV2 kKernel = {\n"
-       << "    3u, kNets, "
+    os << "\nstatic const AnvilKernel kKernel = {\n"
+       << "    " << ANVIL_KERNEL_VERSION << "u, kNets, "
        << hexU64(rtl::designHash(_nl)) << ", kStateWords,\n"
        << "    k_create, k_destroy, k_net_ptr, k_poke, k_eval, "
           "k_eval_full, k_stats,\n"
@@ -1093,8 +1093,8 @@ void onChangeD(Ctx *c, int32_t id)
            << "    uint64_t nodes_evaluated;\n"
            << "    uint64_t nets_changed;\n"
            << "} AnvilKernelStats;\n"
-           << "typedef struct AnvilKernelV2 {\n"
-           << "    uint32_t abi_version;\n"
+           << "typedef struct AnvilKernel {\n"
+           << "    uint32_t version;\n"
            << "    uint32_t net_count;\n"
            << "    uint64_t design_hash;\n"
            << "    uint64_t state_words;\n"
@@ -1109,8 +1109,8 @@ void onChangeD(Ctx *c, int32_t id)
            << "    void (*stats)(void *ctx, AnvilKernelStats *out);\n"
            << "    uint32_t level_count;\n"
            << "    void (*level_stats)(void *ctx, uint64_t *out);\n"
-           << "} AnvilKernelV2;\n"
-           << "const AnvilKernelV2 *anvil_kernel_v2(void);\n"
+           << "} AnvilKernel;\n"
+           << "const AnvilKernel *" ANVIL_KERNEL_ENTRY_SYMBOL "(void);\n"
            << "}\n\n"
            // Everything but the entry point binds inside the shared
            // object: cross-unit calls and ROM reads go direct, never
@@ -1168,7 +1168,7 @@ static inline void w_stored(Ctx *c, int32_t id, uint64_t *dst,
         if (k > 1)
             os << ", unit " << u << " of " << k;
         os << ".\n"
-           << "// Implements AnvilKernelV2 (see src/rtl/kernel_abi.h and "
+           << "// Implements AnvilKernel (see src/rtl/kernel_abi.h and "
               "docs/compile.md);\n";
         if (k > 1)
             os << "// compile each unit with: c++ -std=c++17 -O2 -fPIC "
@@ -1189,8 +1189,8 @@ static inline void w_stored(Ctx *c, int32_t id, uint64_t *dst,
         os << "\n} // namespace anvil_kernel\n"
            << "#pragma GCC visibility pop\n";
         if (u == 0)
-            os << "\nextern \"C\" const AnvilKernelV2 *\n"
-                  "anvil_kernel_v2(void)\n"
+            os << "\nextern \"C\" const AnvilKernel *\n"
+                  ANVIL_KERNEL_ENTRY_SYMBOL "(void)\n"
                << "{\n    return &anvil_kernel::kKernel;\n}\n";
         out.push_back(os.str());
     }

@@ -2,7 +2,7 @@
  * @file
  * Compile-to-C++ netlist backend: lowers the strict combinational
  * portion of a levelized rtl::Netlist to C++ implementing the
- * AnvilKernelV2 ABI (rtl/kernel_abi.h), as one self-contained
+ * AnvilKernel ABI (rtl/kernel_abi.h), as one self-contained
  * translation unit or as K units that compile independently and link
  * into one shared object.
  *
@@ -22,7 +22,7 @@
  *  - registers, inputs, and constants as a flat packed-word state
  *    array indexed by per-net offsets;
  *  - split into K units: unit 0 defines the tables, ROMs, change
- *    hooks, do_eval, and the vtable behind `anvil_kernel_v2`; the
+ *    hooks, do_eval, and the vtable behind `anvil_kernel_entry`; the
  *    level functions are dealt out to all K units by size.  Every
  *    unit repeats the prelude and the Ctx layout inside the named
  *    namespace `anvil_kernel`; every symbol except the entry point
@@ -31,7 +31,9 @@
  * The K = 1 unit (the `--emit-cpp` dump) compiles standalone
  * (`c++ -std=c++17 -O2 -fPIC -shared`); the JIT (codegen/jit.h)
  * automates the split, the concurrent compile, the link, dlopen, and
- * hash validation.
+ * the attach check.  The emitted vtable's version field is
+ * ANVIL_KERNEL_VERSION: any change to the source emitted for a fixed
+ * netlist bumps that macro.
  */
 
 #ifndef ANVIL_CODEGEN_CPP_EMITTER_H
@@ -44,19 +46,6 @@
 
 namespace anvil {
 namespace codegen {
-
-/**
- * Codegen scheme revision.  Bumped whenever the emitted source for an
- * unchanged netlist changes (new scheduler, table layout, ABI rev) so
- * caches keyed on the design hash alone can never serve a kernel
- * built by an older emitter.  v1: block-granular dirty bitmaps;
- * v2: event-driven per-level exact occupancy bitmaps +
- * AnvilKernelV2; v3: per-level evaluation counters + level_stats()
- * (ABI version 3); v4: level functions and ROMs get external hidden
- * linkage in namespace anvil_kernel, so the kernel can be split into
- * units.
- */
-constexpr int kCppEmitterVersion = 4;
 
 /**
  * Emit `nl` as a C++ kernel translation unit.  `design_name` only

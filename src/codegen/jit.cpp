@@ -15,6 +15,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "codegen/cpp_emitter.h"
@@ -131,24 +132,9 @@ diagnostic(const std::string &err_path)
     return diag;
 }
 
-/** Cache key: design hash + everything that changes the built object
- *  for the same design — the compiler opt level and the emitter's
- *  codegen revision. */
-struct CacheKey
-{
-    uint64_t hash;
-    int opt_level;
-    int emitter_tag;
-
-    bool operator<(const CacheKey &o) const
-    {
-        if (hash != o.hash)
-            return hash < o.hash;
-        if (opt_level != o.opt_level)
-            return opt_level < o.opt_level;
-        return emitter_tag < o.emitter_tag;
-    }
-};
+/** Cache key: the design hash and the requested opt level — all
+ *  that changes the built object within one process. */
+using CacheKey = std::pair<uint64_t, int>;
 
 std::mutex g_cache_mu;
 std::map<CacheKey, std::shared_ptr<CompiledKernel>> g_cache;
@@ -184,8 +170,7 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
 {
     JitResult res;
     uint64_t t0 = rtl::monotonicNanos();
-    uint64_t hash = rtl::designHash(nl);
-    CacheKey key{hash, opts.opt_level, opts.emitter_tag};
+    CacheKey key{rtl::designHash(nl), opts.opt_level};
     {
         std::lock_guard<std::mutex> lock(g_cache_mu);
         auto it = g_cache.find(key);
@@ -220,8 +205,7 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
     std::string dir = tmpl.data();
     auto fail = [&](std::string why) {
         res.error = std::move(why);
-        if (!opts.keep_files)
-            removeTree(dir);
+        removeTree(dir);
         return res;
     };
 
@@ -309,8 +293,7 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
     }
     // The mapping survives the unlink; clean up eagerly so nothing
     // litters /tmp even if the process dies later.
-    if (!opts.keep_files)
-        removeTree(dir);
+    removeTree(dir);
 
     auto entry = reinterpret_cast<AnvilKernelEntryFn>(
         ::dlsym(dl, ANVIL_KERNEL_ENTRY_SYMBOL));
@@ -319,15 +302,9 @@ jitCompileKernel(const rtl::Netlist &nl, const JitOptions &opts)
         ::dlclose(dl);
         return res;
     }
-    const AnvilKernelV2 *abi = entry();
-    if (!abi || abi->abi_version != ANVIL_KERNEL_ABI_VERSION) {
-        res.error = "kernel ABI version mismatch";
-        ::dlclose(dl);
-        return res;
-    }
-    if (abi->design_hash != hash ||
-        abi->net_count != nl.nets().size()) {
-        res.error = "kernel design hash mismatch";
+    const AnvilKernel *abi = entry();
+    if (const char *why = rtl::kernelMismatch(abi, nl)) {
+        res.error = why;
         ::dlclose(dl);
         return res;
     }

@@ -3,26 +3,27 @@
  * In-process JIT for the compile-to-C++ backend: emit the netlist as
  * K kernel translation units (codegen/cpp_emitter.h), compile them
  * concurrently with the system C++ compiler, link one shared object,
- * dlopen it, and hand back a validated AnvilKernelV2 ready for
- * rtl::Sim::attachKernel.
+ * dlopen it, and hand back an AnvilKernel (rtl/kernel_abi.h) that has
+ * passed rtl::kernelMismatch, ready for rtl::Sim::attachKernel.
  *
  * K is a pure function of the emitted kernel's size (jitUnitCount):
  * there is no knob, so the built object stays a function of the
- * netlist, opt level, emitter revision, and compiler alone.
+ * netlist, opt level, and compiler alone.
  *
  * Lifecycle (see docs/compile.md): the units, objects, and shared
- * object live in a mkdtemp directory that is deleted as soon as the
- * object is mapped — the mapping survives the unlink, and nothing
- * litters /tmp even on crash.  Kernels are cached per (design hash,
- * opt level, emitter revision) for the life of the process, so
- * attaching the same design to many Sims (the differential test
- * matrix, BMC reruns) compiles once — while a codegen change
- * (kCppEmitterVersion bump) can never be served a stale object.
+ * object live in a mkdtemp directory under $TMPDIR that is deleted as
+ * soon as the object is mapped — the mapping survives the unlink, and
+ * nothing litters the temp dir even on crash.  Kernels are cached per
+ * (design hash, opt level) for the life of the process, so attaching
+ * the same design to many Sims (the differential test matrix, BMC
+ * reruns) compiles once.  The emitter is linked into the process, so
+ * within one process the emitted source for a design never changes.
  *
  * Everything degrades gracefully: no compiler on PATH, a failed
  * compile of any unit (every other compiler child is still reaped), a
- * failed link, or a hash mismatch yields a JitResult with a null
- * kernel and a diagnostic string, and callers keep the interpreter.
+ * failed link, or a kernel that fails the attach check yields a
+ * JitResult with a null kernel and a diagnostic string, and callers
+ * keep the interpreter.
  */
 
 #ifndef ANVIL_CODEGEN_JIT_H
@@ -31,7 +32,6 @@
 #include <memory>
 #include <string>
 
-#include "codegen/cpp_emitter.h"
 #include "rtl/interp.h"
 #include "rtl/kernel_abi.h"
 #include "rtl/netlist.h"
@@ -44,18 +44,13 @@ struct JitOptions
     int opt_level = 2;        // -O<n> passed to the system compiler
                               // (capped to -O1 for multi-MB units,
                               // where -O2 buys only compile time)
-    bool keep_files = false;  // keep the temp dir (debugging)
-    /** Codegen revision folded into the cache key.  Defaults to the
-     *  linked emitter's revision; tests override it to prove a bump
-     *  forces a recompile. */
-    int emitter_tag = kCppEmitterVersion;
 };
 
 /** A dlopen'd kernel; closes the library when the last ref drops. */
 class CompiledKernel
 {
   public:
-    CompiledKernel(void *dl, const AnvilKernelV2 *abi)
+    CompiledKernel(void *dl, const AnvilKernel *abi)
         : _dl(dl), _abi(abi)
     {
     }
@@ -63,11 +58,11 @@ class CompiledKernel
     CompiledKernel(const CompiledKernel &) = delete;
     CompiledKernel &operator=(const CompiledKernel &) = delete;
 
-    const AnvilKernelV2 *abi() const { return _abi; }
+    const AnvilKernel *abi() const { return _abi; }
 
   private:
     void *_dl = nullptr;
-    const AnvilKernelV2 *_abi = nullptr;
+    const AnvilKernel *_abi = nullptr;
 };
 
 struct JitResult

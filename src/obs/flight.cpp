@@ -12,6 +12,10 @@ namespace obs {
 FlightRecorder::FlightRecorder(rtl::Sim &sim, Options opts)
     : _sim(sim), _opts(std::move(opts))
 {
+    if (_opts.pre > kMaxFlightWindow || _opts.post > kMaxFlightWindow)
+        throw std::invalid_argument(
+            "flight window over " + std::to_string(kMaxFlightWindow) +
+            " cycles");
     const rtl::Netlist &nl = _sim.netlist();
     std::vector<std::string> signals = _opts.signals;
     if (signals.empty())

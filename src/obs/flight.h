@@ -46,6 +46,10 @@ namespace obs {
 
 class MetricsRegistry;
 
+/** Largest pre- or post-trigger window, in cycles.  The ring holds
+ *  pre + post + 2 cycle records, so this bounds its allocation. */
+constexpr uint64_t kMaxFlightWindow = uint64_t(1) << 20;
+
 class FlightRecorder : public Observer
 {
   public:
@@ -94,6 +98,8 @@ class FlightRecorder : public Observer
         : FlightRecorder(sim, Options())
     {
     }
+    /** Throws std::invalid_argument on an unknown signal or a pre or
+     *  post window above kMaxFlightWindow. */
     FlightRecorder(rtl::Sim &sim, Options opts);
     ~FlightRecorder() override;
 

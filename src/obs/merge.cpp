@@ -330,21 +330,8 @@ Merger::fold() const
     // --- Violations: fleet-wide (channel, rule) dedupe ---------------
     _triage.clear();
     for (const Stream *s : _order)
-        for (const auto &v : s->viols) {
-            AssertionTriage::Entry *hit = nullptr;
-            for (auto &e : _triage)
-                if (e.channel == v.channel && e.rule == v.rule) {
-                    hit = &e;
-                    break;
-                }
-            if (hit) {
-                hit->count++;
-                hit->first_cycle =
-                    std::min(hit->first_cycle, v.cycle);
-            } else {
-                _triage.push_back({v.channel, v.rule, v.cycle, 1});
-            }
-        }
+        for (const auto &v : s->viols)
+            AssertionTriage::fold(_triage, v.channel, v.rule, v.cycle);
 
     // --- Metrics -----------------------------------------------------
     _reg = MetricsRegistry();
@@ -402,16 +389,8 @@ Merger::fold() const
         _reg.gauge("cov.reg_bin_pct") = _cov->regBinPct();
         _reg.counter("cov.samples") = _cov->samples();
     }
-    if (any_triage_keys || !_triage.empty()) {
-        _reg.counter("triage.signatures") = _triage.size();
-        uint64_t total = 0;
-        for (const auto &e : _triage) {
-            total += e.count;
-            _reg.counter("triage.sig." + e.channel + "." + e.rule) =
-                e.count;
-        }
-        _reg.counter("triage.violations") = total;
-    }
+    if (any_triage_keys || !_triage.empty())
+        AssertionTriage::exportMetrics(_reg, _triage);
 
     _folded = true;
 }
@@ -470,19 +449,7 @@ std::vector<AssertionTriage::Entry>
 Merger::triage() const
 {
     fold();
-    std::vector<AssertionTriage::Entry> out = _triage;
-    std::sort(out.begin(), out.end(),
-              [](const AssertionTriage::Entry &a,
-                 const AssertionTriage::Entry &b) {
-                  if (a.count != b.count)
-                      return a.count > b.count;
-                  if (a.first_cycle != b.first_cycle)
-                      return a.first_cycle < b.first_cycle;
-                  if (a.channel != b.channel)
-                      return a.channel < b.channel;
-                  return a.rule < b.rule;
-              });
-    return out;
+    return AssertionTriage::rank(_triage);
 }
 
 std::vector<Merger::WindowDump>

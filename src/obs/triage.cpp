@@ -51,24 +51,28 @@ AssertionTriage::drain()
         const trace::ContractViolation &v = log[_seen];
         if (_sink)
             _sink->violation(v.cycle, v.channel, v.rule, v.message);
-        _total++;
-        bool found = false;
-        for (Entry &e : _entries)
-            if (e.channel == v.channel && e.rule == v.rule) {
-                e.count++;
-                found = true;
-                break;
-            }
-        if (!found)
-            _entries.push_back({v.channel, v.rule, v.cycle, 1});
+        fold(_entries, v.channel, v.rule, v.cycle);
     }
 }
 
-std::vector<AssertionTriage::Entry>
-AssertionTriage::ranked() const
+void
+AssertionTriage::fold(std::vector<Entry> &entries,
+                      const std::string &channel, const std::string &rule,
+                      uint64_t cycle)
 {
-    std::vector<Entry> out = _entries;
-    std::sort(out.begin(), out.end(),
+    for (Entry &e : entries)
+        if (e.channel == channel && e.rule == rule) {
+            e.count++;
+            e.first_cycle = std::min(e.first_cycle, cycle);
+            return;
+        }
+    entries.push_back({channel, rule, cycle, 1});
+}
+
+std::vector<AssertionTriage::Entry>
+AssertionTriage::rank(std::vector<Entry> entries)
+{
+    std::sort(entries.begin(), entries.end(),
               [](const Entry &a, const Entry &b) {
                   if (a.count != b.count)
                       return a.count > b.count;
@@ -78,17 +82,21 @@ AssertionTriage::ranked() const
                       return a.channel < b.channel;
                   return a.rule < b.rule;
               });
-    return out;
+    return entries;
 }
 
 void
-AssertionTriage::exportMetrics(MetricsRegistry &reg) const
+AssertionTriage::exportMetrics(MetricsRegistry &reg,
+                               const std::vector<Entry> &entries)
 {
-    reg.counter("triage.signatures") = _entries.size();
-    reg.counter("triage.violations") = _total;
-    for (const Entry &e : _entries)
+    uint64_t total = 0;
+    for (const Entry &e : entries) {
+        total += e.count;
         reg.counter("triage.sig." + e.channel + "." + e.rule) =
             e.count;
+    }
+    reg.counter("triage.signatures") = entries.size();
+    reg.counter("triage.violations") = total;
 }
 
 std::string

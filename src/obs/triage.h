@@ -21,7 +21,9 @@
  * "triage." counters merge across farm workers by SUM, and the
  * merged report re-ranks signatures fleet-wide: count descending,
  * then first cycle, then name — the most frequent, earliest bug
- * first.  format() is the single renderer, shared with obs::Merger.
+ * first.  The signature table's fold, ranking, metrics writer and
+ * renderer are static members shared with obs::Merger, so a single
+ * run and a merged farm cannot drift apart.
  */
 
 #ifndef ANVIL_OBS_TRIAGE_H
@@ -65,13 +67,25 @@ class AssertionTriage : public Observer
     void onFinish(rtl::Sim &sim) override;
     const char *observerName() const override { return "triage"; }
 
-    /** Signatures in ranked order (count desc, first cycle, name). */
-    std::vector<Entry> ranked() const;
-
-    uint64_t totalViolations() const { return _total; }
-
     /** Publish under "triage." keys (see file comment). */
-    void exportMetrics(MetricsRegistry &reg) const;
+    void exportMetrics(MetricsRegistry &reg) const
+    {
+        exportMetrics(reg, _entries);
+    }
+
+    /** Count one violation under its (channel, rule) signature,
+     *  keeping the earliest first-occurrence cycle. */
+    static void fold(std::vector<Entry> &entries,
+                     const std::string &channel, const std::string &rule,
+                     uint64_t cycle);
+
+    /** `entries` sorted count desc, then first cycle, then name. */
+    static std::vector<Entry> rank(std::vector<Entry> entries);
+
+    /** Publish `entries` under "triage." keys; triage.violations is
+     *  the sum of their counts. */
+    static void exportMetrics(MetricsRegistry &reg,
+                              const std::vector<Entry> &entries);
 
     /** Render a ranked signature list as the human triage report —
      *  one renderer for single runs and merged farm reports. */
@@ -83,7 +97,6 @@ class AssertionTriage : public Observer
     const trace::ContractMonitor &_monitor;
     EventSink *_sink;
     size_t _seen = 0;     // violations() entries already drained
-    uint64_t _total = 0;
     std::vector<Entry> _entries;   // insertion order
 };
 

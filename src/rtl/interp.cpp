@@ -233,13 +233,23 @@ Sim::seedSource(NetId id)
     }
 }
 
+const char *
+kernelMismatch(const AnvilKernel *abi, const Netlist &nl)
+{
+    if (!abi)
+        return "no kernel";
+    if (abi->version != ANVIL_KERNEL_VERSION)
+        return "kernel version mismatch";
+    if (abi->design_hash != designHash(nl) ||
+        abi->net_count != nl.nets().size())
+        return "kernel design hash mismatch";
+    return nullptr;
+}
+
 bool
 Sim::attachKernel(const KernelRef &kernel)
 {
-    if (!kernel.abi ||
-        kernel.abi->abi_version != ANVIL_KERNEL_ABI_VERSION ||
-        kernel.abi->design_hash != designHash(_nl) ||
-        kernel.abi->net_count != _nl.nets().size())
+    if (kernelMismatch(kernel.abi, _nl))
         return false;
     void *ctx = kernel.abi->create();
     if (!ctx)

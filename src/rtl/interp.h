@@ -95,9 +95,17 @@ class SimTelemetry
  */
 struct KernelRef
 {
-    const AnvilKernelV2 *abi = nullptr;
+    const AnvilKernel *abi = nullptr;
     std::shared_ptr<void> hold;   // keeps the mapped library alive
 };
+
+/**
+ * The one attach check, shared by Sim::attachKernel and the JIT: why
+ * `abi` must not drive `nl` (null kernel, another ANVIL_KERNEL_VERSION,
+ * or a design hash or net count from another netlist), or null when
+ * it may.
+ */
+const char *kernelMismatch(const AnvilKernel *abi, const Netlist &nl);
 
 /** Strategy used to recompute combinational values each cycle. */
 enum class SweepMode : uint8_t
@@ -222,7 +230,7 @@ class Sim
 
     /**
      * Per-level cumulative node evaluations reported by the attached
-     * compiled kernel (ABI v3 level_stats), indexed by logic level.
+     * compiled kernel (its level_stats export), indexed by logic level.
      * Empty when no kernel is attached.
      */
     std::vector<uint64_t> kernelLevelEvals() const;

@@ -7,10 +7,11 @@
  * C++ and wraps it in the struct below; the JIT (src/codegen/jit.cpp)
  * compiles that source with the system compiler and dlopens the
  * resulting shared object.  The generated file embeds its own copy of
- * this struct definition so an --emit-cpp dump compiles standalone —
- * the two copies are tied together by `abi_version`, and an attach is
- * additionally gated on `design_hash` (rtl::designHash) and
- * `net_count` so a stale object can never be bound to the wrong
+ * this struct definition so an --emit-cpp dump compiles standalone;
+ * the two copies are tied together by `version`, which the emitter
+ * writes from ANVIL_KERNEL_VERSION.  rtl::kernelMismatch is the one
+ * attach check: it also compares `design_hash` (rtl::designHash) and
+ * `net_count`, so a stale object can never be bound to the wrong
  * netlist.
  *
  * Division of labour: the kernel owns only the levelized strict sweep
@@ -22,22 +23,13 @@
  * normalized (bits at or above the width are zero) exactly like
  * anvil::BitVec.
  *
- * Version 2 tightens the eval() contract and adds introspection:
- *  - eval()'s changed list is EXACT — a strict net appears iff its
- *    committed value differs from the previous eval (v1 only promised
- *    value-accurate entries; scheduling was block-granular, and the
- *    host had to treat the list as approximate for costing);
- *  - the kernel is event-driven internally (per-level exact worklists
- *    seeded by poke(), change-cutting, and an adaptive dense fallback
- *    mirroring the interpreter's hysteresis);
- *  - stats() exports the kernel's own activity counters so the host
- *    can fold them into its sweep telemetry.
- *
- * Version 3 appends per-level attribution (the struct keeps its name
- * and entry symbol; v3 is a strict prefix-compatible extension):
- *  - level_count mirrors the design's levelization;
- *  - level_stats() exports cumulative node evaluations per level, so
- *    the host's hot-cone report covers the compiled backend too.
+ * The kernel is event-driven internally (per-level exact worklists
+ * seeded by poke(), change-cutting, and an adaptive dense fallback
+ * mirroring the interpreter's hysteresis).  eval()'s changed list is
+ * exact: a strict net appears iff its committed value differs from
+ * the previous eval.  stats() and level_stats() export the kernel's
+ * own activity counters, so the host folds them into its sweep
+ * telemetry and its hot-cone report.
  */
 
 #ifndef ANVIL_RTL_KERNEL_ABI_H
@@ -49,7 +41,11 @@
 extern "C" {
 #endif
 
-#define ANVIL_KERNEL_ABI_VERSION 3u
+/** Bumped whenever the emitted source for a fixed netlist changes
+ *  (struct layout, scheduler, table layout), so neither an attach nor
+ *  a cache keyed on the design hash can accept an object built by an
+ *  older emitter. */
+#define ANVIL_KERNEL_VERSION 5u
 
 /** Activity counters accumulated by a kernel context since create().
  *  Mirrors the host-side SweepStats vocabulary. */
@@ -62,12 +58,12 @@ typedef struct AnvilKernelStats
     uint64_t nets_changed;      /* changed-net records, total */
 } AnvilKernelStats;
 
-/** Version 2 kernel vtable.  All functions are thread-compatible:
- *  distinct contexts may be driven from distinct threads, one context
- *  must not be entered concurrently. */
-typedef struct AnvilKernelV2
+/** Kernel vtable.  All functions are thread-compatible: distinct
+ *  contexts may be driven from distinct threads, one context must not
+ *  be entered concurrently. */
+typedef struct AnvilKernel
 {
-    uint32_t abi_version;   /* == ANVIL_KERNEL_ABI_VERSION */
+    uint32_t version;       /* == ANVIL_KERNEL_VERSION */
     uint32_t net_count;     /* nets at emission time */
     uint64_t design_hash;   /* rtl::designHash of the netlist */
     uint64_t state_words;   /* packed value words per context */
@@ -109,8 +105,6 @@ typedef struct AnvilKernelV2
     /** Copy the context's activity counters into *out. */
     void (*stats)(void *ctx, AnvilKernelStats *out);
 
-    /* --- v3 additions (prefix-compatible) ------------------------ */
-
     /** Logic levels in the emitted design's levelization. */
     uint32_t level_count;
 
@@ -118,12 +112,13 @@ typedef struct AnvilKernelV2
      *  level_count); caller provides level_count slots.  Counts since
      *  create(), accumulated on both sparse and dense paths. */
     void (*level_stats)(void *ctx, uint64_t *out);
-} AnvilKernelV2;
+} AnvilKernel;
 
-/** Entry point exported by every compiled kernel object. */
-typedef const AnvilKernelV2 *(*AnvilKernelEntryFn)(void);
+/** Entry point exported by every compiled kernel object (the only
+ *  symbol it exports). */
+typedef const AnvilKernel *(*AnvilKernelEntryFn)(void);
 
-#define ANVIL_KERNEL_ENTRY_SYMBOL "anvil_kernel_v2"
+#define ANVIL_KERNEL_ENTRY_SYMBOL "anvil_kernel_entry"
 
 #ifdef __cplusplus
 } /* extern "C" */

@@ -144,14 +144,16 @@ for mode in threaded threaded:2; do
 done
 # Numeric flags parse strictly: no trailing characters, no sign, no
 # empty value, nothing out of range (--farm is capped at 1024
-# workers).  Every case also carries --prove with --sim, a conflict a
-# lenient parser would still reject with exit 2, so no case can ever
-# simulate or start a thread.
+# workers, each flight window at 2^20 cycles).  Every case also
+# carries --prove with --sim, a conflict a lenient parser would still
+# reject with exit 2, so no case can ever simulate or start a thread.
 for bad in "--sim 10x" "--sim -5" "--sim +5" "--sim 0" \
            "--sim 99999999999999999999" "--seed abc" "--seed -1" \
            "--seed-base 1x" "--farm 0" "--farm 2x" "--farm 1025" \
            "--farm 99999999999" "--flight 3x" "--flight-pre 0" \
-           "--flight-post -1" "--prove 99999999999"; do
+           "--flight-post -1" "--prove 99999999999" \
+           "--flight 9223372036854775807" "--flight-pre 1048577" \
+           "--flight-post 1048577"; do
     flag=${bad%% *}
     value=${bad#* }
     "$ANVILC" "$DESIGN" --sim 5 --prove "$flag" "$value" \
@@ -164,5 +166,13 @@ done
 test "$?" -eq 2 || { echo "empty --sim not rejected" >&2; exit 1; }
 grep -qF "bad --sim value ''" num_usage.log \
     || { echo "empty --sim: wrong diagnostic" >&2; exit 1; }
+# VIOLATION is the only flight trigger.
+"$ANVILC" "$DESIGN" --sim 5 --prove --flight 4 --dump-on cover:foo \
+    2> trigger_usage.log
+test "$?" -eq 2 || { echo "--dump-on cover:foo not rejected" >&2; \
+                     exit 1; }
+grep -qF "bad --dump-on trigger 'cover:foo' (expected VIOLATION)" \
+    trigger_usage.log \
+    || { echo "--dump-on cover:foo: wrong diagnostic" >&2; exit 1; }
 set -e
 echo "farm flag validation rejects inconsistent invocations"

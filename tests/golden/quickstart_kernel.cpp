@@ -1,5 +1,5 @@
 // Generated by anvilc --emit-cpp; design 'ping_server'.
-// Implements AnvilKernelV2 (see src/rtl/kernel_abi.h and docs/compile.md);
+// Implements AnvilKernel (see src/rtl/kernel_abi.h and docs/compile.md);
 // compile with: c++ -std=c++17 -O2 -fPIC -shared -o kernel.so <this file>
 #include <stdint.h>
 #include <stdlib.h>
@@ -13,8 +13,8 @@ typedef struct AnvilKernelStats {
     uint64_t nodes_evaluated;
     uint64_t nets_changed;
 } AnvilKernelStats;
-typedef struct AnvilKernelV2 {
-    uint32_t abi_version;
+typedef struct AnvilKernel {
+    uint32_t version;
     uint32_t net_count;
     uint64_t design_hash;
     uint64_t state_words;
@@ -27,8 +27,8 @@ typedef struct AnvilKernelV2 {
     void (*stats)(void *ctx, AnvilKernelStats *out);
     uint32_t level_count;
     void (*level_stats)(void *ctx, uint64_t *out);
-} AnvilKernelV2;
-const AnvilKernelV2 *anvil_kernel_v2(void);
+} AnvilKernel;
+const AnvilKernel *anvil_kernel_entry(void);
 }
 
 #pragma GCC visibility push(hidden)
@@ -890,8 +890,8 @@ static void k_level_stats(void *ctx, uint64_t *out)
         out[l] = c->lvl_ev[l];
 }
 
-static const AnvilKernelV2 kKernel = {
-    3u, kNets, 0xdc86a9e7102982f5ull, kStateWords,
+static const AnvilKernel kKernel = {
+    5u, kNets, 0xdc86a9e7102982f5ull, kStateWords,
     k_create, k_destroy, k_net_ptr, k_poke, k_eval, k_eval_full, k_stats,
     kLevels, k_level_stats,
 };
@@ -899,8 +899,8 @@ static const AnvilKernelV2 kKernel = {
 } // namespace anvil_kernel
 #pragma GCC visibility pop
 
-extern "C" const AnvilKernelV2 *
-anvil_kernel_v2(void)
+extern "C" const AnvilKernel *
+anvil_kernel_entry(void)
 {
     return &anvil_kernel::kKernel;
 }

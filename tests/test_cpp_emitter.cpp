@@ -99,6 +99,22 @@ class ScopedEnv
     std::string _old;
 };
 
+/**
+ * A one-register design (c ^= x) of the given width.  The JIT cache
+ * lives for the whole test binary, so a test that must see a real
+ * compile uses a name/width pair no other test compiles.
+ */
+ModulePtr
+probeModule(const std::string &name, int width)
+{
+    auto m = std::make_shared<Module>();
+    m->name = name;
+    auto x = m->input("x", width);
+    auto c = m->reg("c", width);
+    m->update("c", cst(1, 1), c ^ x);
+    return m;
+}
+
 /** Deterministic quickstart stimulus (same shape as the VCD golden). */
 void
 driveQuickstart(Sim &sim, int cyc)
@@ -145,12 +161,22 @@ TEST(CppEmitter, KernelAbiMatchesNetlist)
     codegen::JitResult jr =
         codegen::jitCompileKernel(sim.netlist(), jo);
     ASSERT_NE(jr.kernel, nullptr) << jr.error;
-    const AnvilKernelV2 *abi = jr.kernel->abi();
+    const AnvilKernel *abi = jr.kernel->abi();
     ASSERT_NE(abi, nullptr);
-    EXPECT_EQ(abi->abi_version, ANVIL_KERNEL_ABI_VERSION);
+    EXPECT_EQ(abi->version, ANVIL_KERNEL_VERSION);
     EXPECT_EQ(abi->net_count, sim.netlist().nets().size());
     EXPECT_EQ(abi->design_hash, designHash(sim.netlist()));
     EXPECT_GT(abi->state_words, 0u);
+
+    // The one attach check: a kernel drives only the netlist it was
+    // emitted from, at this ANVIL_KERNEL_VERSION.
+    EXPECT_EQ(kernelMismatch(abi, sim.netlist()), nullptr);
+    Sim other(probeModule("abi_probe", 5));
+    EXPECT_NE(kernelMismatch(abi, other.netlist()), nullptr);
+    EXPECT_FALSE(other.attachKernel(codegen::kernelRef(jr.kernel)));
+    AnvilKernel stale = *abi;
+    stale.version++;
+    EXPECT_NE(kernelMismatch(&stale, sim.netlist()), nullptr);
 
     // A second compile of the same design hits the process-wide
     // cache and hands back the exact same kernel object.
@@ -158,36 +184,6 @@ TEST(CppEmitter, KernelAbiMatchesNetlist)
         codegen::jitCompileKernel(sim.netlist(), jo);
     EXPECT_EQ(again.kernel.get(), jr.kernel.get());
     EXPECT_TRUE(again.cache_hit);
-}
-
-TEST(CppEmitter, EmitterTagBumpForcesRecompile)
-{
-    if (codegen::jitCompilerPath().empty())
-        GTEST_SKIP() << "no system compiler available";
-    auto mod = quickstartModule();
-    ASSERT_NE(mod, nullptr);
-    Sim sim(mod);
-    codegen::JitOptions jo;
-    jo.opt_level = 1;
-    codegen::JitResult base =
-        codegen::jitCompileKernel(sim.netlist(), jo);
-    ASSERT_NE(base.kernel, nullptr) << base.error;
-
-    // Same design + opt level but a newer codegen revision: the
-    // cached object from the old emitter must never be served.
-    jo.emitter_tag = codegen::kCppEmitterVersion + 1;
-    codegen::JitResult bumped =
-        codegen::jitCompileKernel(sim.netlist(), jo);
-    ASSERT_NE(bumped.kernel, nullptr) << bumped.error;
-    EXPECT_FALSE(bumped.cache_hit);
-    EXPECT_NE(bumped.kernel.get(), base.kernel.get());
-    EXPECT_GT(bumped.source_bytes, 0u);
-
-    // The bumped tag is itself cached under its own key.
-    codegen::JitResult again =
-        codegen::jitCompileKernel(sim.netlist(), jo);
-    EXPECT_TRUE(again.cache_hit);
-    EXPECT_EQ(again.kernel.get(), bumped.kernel.get());
 }
 
 TEST(CppEmitter, JitRoundTripMatchesInterpreter)
@@ -233,10 +229,10 @@ TEST(CppEmitter, KernelReportsPerLevelEvals)
     codegen::JitResult jr =
         codegen::jitCompileKernel(sim.netlist(), jo);
     ASSERT_NE(jr.kernel, nullptr) << jr.error;
-    const AnvilKernelV2 *abi = jr.kernel->abi();
+    const AnvilKernel *abi = jr.kernel->abi();
     ASSERT_NE(abi, nullptr);
-    // v3 surface: the level table is sized like the netlist's and
-    // backed by a live accessor.
+    // The level table is sized like the netlist's and backed by a
+    // live accessor.
     EXPECT_EQ(abi->level_count,
               sim.netlist().levelBegin().empty()
                   ? 0u
@@ -261,44 +257,57 @@ TEST(CppEmitter, KernelReportsPerLevelEvals)
 
 TEST(CppEmitter, JitHonorsTmpdir)
 {
-    if (codegen::jitCompilerPath().empty())
+    std::string cxx = codegen::jitCompilerPath();
+    if (cxx.empty())
         GTEST_SKIP() << "no system compiler available";
-    auto mod = quickstartModule();
-    ASSERT_NE(mod, nullptr);
-    Sim sim(mod);
+    Sim sim(probeModule("tmpdir_probe", 9));
 
-    // Point TMPDIR at a private scratch dir; a unique emitter tag
-    // bypasses the process-wide kernel cache so the JIT really runs.
+    // A compiler wrapper that logs every -o path, then runs the real
+    // compiler.
+    char wtmpl[] = "/tmp/anvil-cxx-log-XXXXXX";
+    ASSERT_NE(::mkdtemp(wtmpl), nullptr);
+    std::string wrapper = std::string(wtmpl) + "/cxx";
+    std::string log = std::string(wtmpl) + "/outputs";
+    {
+        std::ofstream w(wrapper);
+        w << "#!/bin/sh\n"
+             "prev=\n"
+             "for a in \"$@\"; do\n"
+             "  [ \"$prev\" = -o ] && echo \"$a\" >> '" << log << "'\n"
+             "  prev=$a\n"
+             "done\n"
+             "exec " << cxx << " \"$@\"\n";
+    }
+    ASSERT_EQ(::chmod(wrapper.c_str(), 0755), 0);
     char tmpl[] = "/tmp/anvil-tmpdir-test-XXXXXX";
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
     std::string scratch = tmpl;
-    const char *saved = std::getenv("TMPDIR");
-    std::string saved_val = saved ? saved : "";
-    ::setenv("TMPDIR", scratch.c_str(), 1);
 
-    codegen::JitOptions jo;
-    jo.opt_level = 1;
-    jo.keep_files = true;
-    jo.emitter_tag = codegen::kCppEmitterVersion + 1000;
-    codegen::JitResult jr =
-        codegen::jitCompileKernel(sim.netlist(), jo);
-
-    if (saved)
-        ::setenv("TMPDIR", saved_val.c_str(), 1);
-    else
-        ::unsetenv("TMPDIR");
+    codegen::JitResult jr;
+    {
+        ScopedEnv env_cxx("ANVIL_CXX", wrapper);
+        ScopedEnv env_tmp("TMPDIR", scratch);
+        codegen::JitOptions jo;
+        jo.opt_level = 1;
+        jr = codegen::jitCompileKernel(sim.netlist(), jo);
+    }
     ASSERT_NE(jr.kernel, nullptr) << jr.error;
 
-    // The work dir must have landed under $TMPDIR, not /tmp.
-    bool found = false;
-    if (DIR *d = ::opendir(scratch.c_str())) {
-        while (struct dirent *e = ::readdir(d))
-            if (std::string(e->d_name).rfind("anvil-jit-", 0) == 0)
-                found = true;
-        ::closedir(d);
-    }
-    EXPECT_TRUE(found)
-        << "no anvil-jit-* work dir under " << scratch;
+    // Every object and the shared object landed in a work dir under
+    // $TMPDIR, not /tmp, and the work dir is gone afterwards.
+    std::istringstream outputs(readFile(log));
+    std::vector<std::string> paths;
+    for (std::string line; std::getline(outputs, line);)
+        paths.push_back(line);
+    EXPECT_GE(paths.size(), 2u);   // at least one unit plus the link
+    for (const std::string &path : paths)
+        EXPECT_EQ(path.rfind(scratch + "/anvil-jit-", 0), 0u) << path;
+    EXPECT_TRUE(listDir(scratch).empty());
+
+    ::rmdir(tmpl);
+    ::unlink(log.c_str());
+    ::unlink(wrapper.c_str());
+    ::rmdir(wtmpl);
 }
 
 TEST(CppEmitter, UnitsPartitionLevelFunctions)
@@ -344,7 +353,7 @@ TEST(CppEmitter, UnitsPartitionLevelFunctions)
                               std::string::npos,
                           first)
                     << "k=" << k << " unit " << u;
-                EXPECT_EQ(src.find("anvil_kernel_v2(void)\n{") !=
+                EXPECT_EQ(src.find(ANVIL_KERNEL_ENTRY_SYMBOL "(void)\n{") !=
                               std::string::npos,
                           first)
                     << "k=" << k << " unit " << u;
@@ -386,9 +395,7 @@ TEST(CppEmitter, JitHandlesTmpdirWithSpace)
 {
     if (codegen::jitCompilerPath().empty())
         GTEST_SKIP() << "no system compiler available";
-    auto mod = quickstartModule();
-    ASSERT_NE(mod, nullptr);
-    Sim sim(mod);
+    Sim sim(probeModule("space_probe", 11));
 
     char tmpl[] = "/tmp/anvil-space-test-XXXXXX";
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
@@ -400,7 +407,6 @@ TEST(CppEmitter, JitHandlesTmpdirWithSpace)
         ScopedEnv env("TMPDIR", spaced);
         codegen::JitOptions jo;
         jo.opt_level = 1;
-        jo.emitter_tag = codegen::kCppEmitterVersion + 2000;
         jr = codegen::jitCompileKernel(sim.netlist(), jo);
     }
     EXPECT_NE(jr.kernel, nullptr) << jr.error;
@@ -415,7 +421,9 @@ TEST(CppEmitter, FailingUnitReapsChildrenAndCleansUp)
 {
     // A compiler wrapper that fails on unit 1 alone; every other
     // compile is slow and succeeds, so units 2.. are still running
-    // when the failure is seen and must be reaped, not orphaned.
+    // when the failure is seen and must be reaped, not orphaned.  No
+    // other test here compiles this design, so the cache cannot
+    // answer first.
     Sim sim(designs::buildAxiXbarBaseline(4, 4));
     ASSERT_GT(codegen::jitUnitCount(
                   codegen::emitCppKernel(sim.netlist(), "xbar").size()),
@@ -441,9 +449,7 @@ TEST(CppEmitter, FailingUnitReapsChildrenAndCleansUp)
     {
         ScopedEnv cxx("ANVIL_CXX", wrapper);
         ScopedEnv tmp("TMPDIR", ttmpl);
-        codegen::JitOptions jo;
-        jo.emitter_tag = codegen::kCppEmitterVersion + 3000;
-        jr = codegen::jitCompileKernel(sim.netlist(), jo);
+        jr = codegen::jitCompileKernel(sim.netlist());
     }
     EXPECT_EQ(jr.kernel, nullptr);
     EXPECT_NE(jr.error.find("unit 1 "), std::string::npos) << jr.error;
@@ -470,11 +476,7 @@ TEST(CppEmitter, BrokenCompilerFallsBackToInterpreter)
     // A design no other test compiles, so the JIT cache can't mask
     // the compile failure (the cache is consulted before the
     // compiler probe).
-    auto m = std::make_shared<Module>();
-    m->name = "fallback_probe";
-    auto x = m->input("x", 7);
-    auto c = m->reg("c", 7);
-    m->update("c", cst(1, 1), c ^ x);
+    ModulePtr m = probeModule("fallback_probe", 7);
 
     const char *saved = std::getenv("ANVIL_CXX");
     std::string saved_val = saved ? saved : "";

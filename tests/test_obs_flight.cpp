@@ -1,10 +1,11 @@
 /**
  * @file
  * Flight-recorder ring-buffer edge cases: a trigger before the ring
- * fills clips the window at the first captured cycle, a trigger on
- * the final cycle is flushed by onFinish, distinct triggers produce
- * distinct dumps, wrap-around keeps exactly the configured context,
- * and the reconstructed windows are byte-identical across sweep
+ * fills clips the window at the first captured cycle, a window above
+ * the cap is refused, a trigger on the final cycle is flushed by
+ * onFinish, distinct triggers produce distinct dumps, wrap-around
+ * keeps exactly the configured context, and the reconstructed
+ * windows are byte-identical across sweep
  * modes (and the compiled backend) and byte-compatible with a
  * VcdWriter covering the same cycles.
  */
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -188,6 +190,20 @@ TEST(FlightRecorder, TriggerBeforeRingFillsClipsAtCycleZero)
     size_t cut = full.find("\n#9\n");
     ASSERT_NE(cut, std::string::npos);
     EXPECT_EQ(fr.vcds[0], full.substr(0, cut + 1));
+}
+
+TEST(FlightRecorder, WindowsAboveTheCapAreRejected)
+{
+    // The ring holds pre + post + 2 records: an uncapped window would
+    // ask for an impossible allocation or wrap the sum to zero.
+    rtl::Sim sim(pingModule());
+    uint64_t over = obs::kMaxFlightWindow + 1;
+    EXPECT_THROW(obs::FlightRecorder(sim, opts(over, 8)),
+                 std::invalid_argument);
+    EXPECT_THROW(obs::FlightRecorder(sim, opts(8, over)),
+                 std::invalid_argument);
+    EXPECT_THROW(obs::FlightRecorder(sim, opts(UINT64_MAX, UINT64_MAX)),
+                 std::invalid_argument);
 }
 
 TEST(FlightRecorder, FinalCycleTriggerFlushesOnFinish)

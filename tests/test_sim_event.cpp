@@ -270,8 +270,8 @@ TEST(SweepModes, SetAssocTlbWorkload)
 }
 
 /**
- * The compiled kernel's changed-net list must be EXACT (the ABI v2
- * contract): set-equal, every cycle, to what the interpreter's dirty
+ * The compiled kernel's changed-net list must be EXACT (the kernel
+ * ABI's eval() contract): set-equal, every cycle, to what the interpreter's dirty
  * sweep reports for identical stimulus.  Order may differ (the
  * kernel emits in level/worklist order, the interpreter in bucket
  * order), so both sides are sorted and deduplicated before compare.
