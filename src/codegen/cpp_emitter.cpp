@@ -325,7 +325,6 @@ class CppEmitter
     std::vector<std::string> run(int k);
 
   private:
-    void layoutState();
     void layoutLevels();
     std::string romTable(const Net &n);
     void emitConstants(std::ostringstream &os);
@@ -339,14 +338,11 @@ class CppEmitter
     std::string ptrOf(NetId o) const;     // &c->s[off]
     uint32_t wordsOf(NetId o) const
     {
-        int w = _nl.net(o).width;
-        return w <= 0 ? 1u : static_cast<uint32_t>((w + 63) / 64);
+        return Netlist::wordsFor(_nl.net(o).width);
     }
 
     const Netlist &_nl;
     std::string _name;
-    std::vector<uint32_t> _off;           // per-net word offset
-    uint64_t _state_words = 0;
     size_t _levels = 0;                   // level count (incl. empty)
     std::vector<std::vector<NetId>> _level_nodes;   // per level
     std::vector<uint32_t> _bm_off;        // per-level bitmap word off
@@ -357,20 +353,6 @@ class CppEmitter
     std::ostringstream _rom_decls;        // every unit
     std::ostringstream _rom_defs;         // unit 0 only
 };
-
-void
-CppEmitter::layoutState()
-{
-    const auto &nets = _nl.nets();
-    _off.resize(nets.size());
-    uint64_t off = 0;
-    for (size_t i = 0; i < nets.size(); i++) {
-        _off[i] = static_cast<uint32_t>(off);
-        int w = nets[i].width;
-        off += w <= 0 ? 1 : static_cast<uint64_t>((w + 63) / 64);
-    }
-    _state_words = off ? off : 1;
-}
 
 /** Group the strict order by level and assign every strict node a
  *  dense within-level slot: the occupancy bitmaps carry slots, so a
@@ -414,8 +396,7 @@ CppEmitter::romTable(const Net &n)
         return it->second;
     std::string name = strfmt("kRom%d", static_cast<int>(_roms.size()));
     _roms.emplace(key, name);
-    uint32_t stride =
-        n.width <= 0 ? 1u : static_cast<uint32_t>((n.width + 63) / 64);
+    uint32_t stride = Netlist::wordsFor(n.width);
     _rom_decls << "extern const uint64_t " << name << "["
                << n.rom->size() * stride << "];\n";
     _rom_defs << "const uint64_t " << name << "["
@@ -439,7 +420,7 @@ CppEmitter::emitConstants(std::ostringstream &os)
     os << "enum : uint32_t { kNets = " << _nl.nets().size()
        << "u, kLevels = " << _levels
        << "u, kStrictNodes = " << _nl.order().size() << "u };\n";
-    os << "enum : uint64_t { kStateWords = " << _state_words
+    os << "enum : uint64_t { kStateWords = " << _nl.stateWords()
        << "ull };\n";
     os << "enum : uint32_t { kBmWords = " << _bm_off[_levels]
        << "u };\n\n";
@@ -451,7 +432,8 @@ CppEmitter::emitTables(std::ostringstream &os)
     size_t nets = _nl.nets().size();
     os << "static const uint32_t kOff[kNets] = {";
     for (size_t i = 0; i < nets; i++)
-        os << (i % 16 == 0 ? "\n    " : "") << _off[i] << ",";
+        os << (i % 16 == 0 ? "\n    " : "")
+           << _nl.wordOffset(static_cast<NetId>(i)) << ",";
     os << "\n};\n\n";
 
     os << "static const uint64_t kInit[kStateWords] = {";
@@ -529,13 +511,13 @@ CppEmitter::fastVal(NetId o) const
     if (n.kind == Net::Kind::Const)
         return hexU64(
             _nl.initValues()[static_cast<size_t>(o)].toUint64());
-    return strfmt("c->s[%u]", _off[static_cast<size_t>(o)]);
+    return strfmt("c->s[%u]", _nl.wordOffset(o));
 }
 
 std::string
 CppEmitter::ptrOf(NetId o) const
 {
-    return strfmt("&c->s[%u]", _off[static_cast<size_t>(o)]);
+    return strfmt("&c->s[%u]", _nl.wordOffset(o));
 }
 
 void
@@ -681,7 +663,7 @@ CppEmitter::emitFastNode(std::ostringstream &os, NetId id, bool dense)
         ? std::string()
         : strfmt(" r &= %s;", M.c_str());
     os << _ind << "{ ev++; " << body << store
-       << " uint64_t *p = &c->s[" << _off[static_cast<size_t>(id)]
+       << " uint64_t *p = &c->s[" << _nl.wordOffset(id)
        << "]; if (*p != r) { *p = r; "
        << (dense ? "onChangeD" : "onChange") << "(c, " << id
        << "); } }\n";
@@ -1015,7 +997,6 @@ CppEmitter::run(int k)
 {
     if (k < 1)
         k = 1;
-    layoutState();
     layoutLevels();
     std::vector<LevelFn> fns = emitLevelFns();
 

@@ -65,8 +65,9 @@ FlightRecorder::FlightRecorder(rtl::Sim &sim, Options opts)
 
     // The window spans at most pre + post + 1 cycles and records
     // exist only for cycles with changes, so this capacity guarantees
-    // eviction never touches a record inside an open window.
-    _ring.resize(static_cast<size_t>(_opts.pre + _opts.post + 2));
+    // eviction never touches a record inside an open window.  The
+    // ring grows toward it on demand (openRecord).
+    _capacity = static_cast<size_t>(_opts.pre + _opts.post + 2);
 
     std::vector<rtl::VcdVarDecl> vars;
     vars.reserve(_traced.size());
@@ -116,20 +117,29 @@ void
 FlightRecorder::evictOldest()
 {
     CycleRec &rec = _ring[_head];
-    size_t w = 0;
-    for (uint32_t slot : rec.slots) {
-        const Traced &t = _traced[slot];
-        BitVec &b = _base[slot];
-        if (t.width <= 64)
-            b.setUint64(rec.words[w]);
-        else
-            b.setWords(rec.words.data() + w, t.words);
-        w += static_cast<size_t>(t.words);
-    }
+    applyRec(rec, _base);
     rec.slots.clear();
     rec.words.clear();
     _head = (_head + 1) % _ring.size();
     _count--;
+}
+
+/** Open this cycle's record at the ring's tail, evicting the oldest
+ *  at capacity.  Below capacity nothing was evicted yet, so _head is
+ *  0 and growing the ring keeps ring order. */
+void
+FlightRecorder::openRecord()
+{
+    if (_count == _ring.size()) {
+        if (_ring.size() == _capacity)
+            evictOldest();
+        else
+            _ring.resize(
+                std::min(_capacity, std::max<size_t>(8, 2 * _count)));
+    }
+    _cur = &_ring[(_head + _count) % _ring.size()];
+    _cur->cycle = _last_cycle;
+    _count++;
 }
 
 void
@@ -143,13 +153,8 @@ FlightRecorder::captureSlot(size_t slot, const BitVec &v)
         if (w == _last_w0[slot])
             return;
         _last_w0[slot] = w;
-        if (!_cur) {
-            if (_count == _ring.size())
-                evictOldest();
-            _cur = &_ring[(_head + _count) % _ring.size()];
-            _cur->cycle = _last_cycle;
-            _count++;
-        }
+        if (!_cur)
+            openRecord();
         _cur->slots.push_back(static_cast<uint32_t>(slot));
         _cur->words.push_back(w);
         _captured_words++;
@@ -158,13 +163,8 @@ FlightRecorder::captureSlot(size_t slot, const BitVec &v)
     if (v == _last[slot])
         return;
     _last[slot] = v;
-    if (!_cur) {
-        if (_count == _ring.size())
-            evictOldest();
-        _cur = &_ring[(_head + _count) % _ring.size()];
-        _cur->cycle = _last_cycle;
-        _count++;
-    }
+    if (!_cur)
+        openRecord();
     _cur->slots.push_back(static_cast<uint32_t>(slot));
     for (int k = 0; k < words; k++)
         _cur->words.push_back(v.word(k));
@@ -174,7 +174,7 @@ FlightRecorder::captureSlot(size_t slot, const BitVec &v)
 void
 FlightRecorder::endCycle(uint64_t cycle)
 {
-    // Eviction is purely capacity-driven (captureSlot): any window
+    // Eviction is purely capacity-driven (openRecord): any window
     // holds at most pre + post + 1 change records, strictly fewer
     // than the ring's capacity, so the evicted record is always
     // older than every open or future window's start.
@@ -212,13 +212,9 @@ FlightRecorder::applyRec(const CycleRec &rec,
 {
     size_t w = 0;
     for (uint32_t slot : rec.slots) {
-        const Traced &t = _traced[slot];
-        BitVec &b = vals[slot];
-        if (t.width <= 64)
-            b.setUint64(rec.words[w]);
-        else
-            b.setWords(rec.words.data() + w, t.words);
-        w += static_cast<size_t>(t.words);
+        int words = _traced[slot].words;
+        vals[slot].setWords(rec.words.data() + w, words);
+        w += static_cast<size_t>(words);
     }
 }
 
@@ -278,10 +274,7 @@ FlightRecorder::flushDump(uint64_t to)
         for (const auto &[slot, off] : order) {
             const Traced &t = _traced[slot];
             BitVec v(t.width);
-            if (t.width <= 64)
-                v.setUint64(rec.words[off]);
-            else
-                v.setWords(rec.words.data() + off, t.words);
+            v.setWords(rec.words.data() + off, t.words);
             rtl::writeVcdValue(os, t.id, t.width, v);
         }
     }

@@ -46,8 +46,9 @@ namespace obs {
 
 class MetricsRegistry;
 
-/** Largest pre- or post-trigger window, in cycles.  The ring holds
- *  pre + post + 2 cycle records, so this bounds its allocation. */
+/** Largest pre- or post-trigger window, in cycles.  The ring grows
+ *  on demand up to pre + post + 2 cycle records, so this bounds its
+ *  allocation. */
 constexpr uint64_t kMaxFlightWindow = uint64_t(1) << 20;
 
 class FlightRecorder : public Observer
@@ -112,6 +113,10 @@ class FlightRecorder : public Observer
     /** Cycle records currently retained in the ring. */
     size_t ringRecords() const { return _count; }
 
+    /** Record slots allocated so far (grows on demand, at most
+     *  pre + post + 2). */
+    size_t ringSlots() const { return _ring.size(); }
+
     /** hot counters for a metrics run: flight.dumps,
      *  flight.ring_records, flight.capture_bytes. */
     void exportMetrics(MetricsRegistry &reg) const;
@@ -168,6 +173,7 @@ class FlightRecorder : public Observer
     };
 
     void beginCycle(uint64_t cycle);
+    void openRecord();
     void captureSlot(size_t slot, const BitVec &v);
     void endCycle(uint64_t cycle);
     void pollTriggers(uint64_t cycle);
@@ -195,8 +201,9 @@ class FlightRecorder : public Observer
     std::vector<BitVec> _base;        // values before the oldest record
 
     // Ring of cycle records, oldest at _head, recycled in place so
-    // the steady state allocates nothing.
+    // the steady state allocates nothing; grown up to _capacity.
     std::vector<CycleRec> _ring;
+    size_t _capacity = 0;
     size_t _head = 0;
     size_t _count = 0;
     CycleRec *_cur = nullptr;         // this cycle's record, once opened

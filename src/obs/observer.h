@@ -23,9 +23,9 @@
  *  - lazy nets are excluded centrally — subscribe() returns false
  *    for them and the observer re-reads those itself each visit,
  *    preserving Sim::value()'s on-demand fault semantics;
- *  - reads go through Sim::value(), which is also where the
- *    compiled-kernel value mirror is refreshed — observers never see
- *    a stale kernel-owned value and never carry refresh logic.
+ *  - reads go through Sim::value() or Sim::frameValue(), which read
+ *    the Sim's one value frame — the same words a compiled kernel
+ *    writes in place — so there is nothing to refresh.
  *
  * The hub doubles as the telemetry spine: it counts per-observer
  * visits and touched nets, and with a TraceProfiler attached it

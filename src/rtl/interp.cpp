@@ -89,6 +89,48 @@ applyBinop(Op op, const BitVec &a, const BitVec &b, int width)
     }
 }
 
+namespace {
+
+/** Mask of the valid bits in the top word of a `width`-bit value. */
+uint64_t
+topMask(int width)
+{
+    int r = width & 63;
+    return width <= 0 ? 0 : r ? (1ull << r) - 1 : ~0ull;
+}
+
+/** Word k of an n-word value; words past its end read as zero. */
+uint64_t
+wordAt(const uint64_t *w, size_t n, size_t k)
+{
+    return k < n ? w[k] : 0;
+}
+
+/** Bits that differ between two n-word values. */
+uint64_t
+flips(const uint64_t *a, const uint64_t *b, size_t n)
+{
+    uint64_t f = 0;
+    for (size_t k = 0; k < n; k++)
+        f += static_cast<uint64_t>(__builtin_popcountll(a[k] ^ b[k]));
+    return f;
+}
+
+/** 64 bits of an n-word value starting at bit `bit`, which may be
+ *  negative; bits outside the value read as zero. */
+uint64_t
+bitsAt(const uint64_t *w, size_t n, int64_t bit)
+{
+    int64_t k = bit >= 0 ? bit / 64 : -((63 - bit) / 64);   // floor
+    int sh = static_cast<int>(bit - k * 64);
+    auto at = [&](int64_t i) {
+        return i >= 0 ? wordAt(w, n, static_cast<size_t>(i)) : 0;
+    };
+    return sh ? (at(k) >> sh) | (at(k + 1) << (64 - sh)) : at(k);
+}
+
+} // namespace
+
 Sim::Sim(std::shared_ptr<const Module> top)
     : Sim(std::move(top), nullptr)
 {
@@ -102,24 +144,14 @@ Sim::Sim(std::shared_ptr<const Module> top,
                        : std::shared_ptr<const Netlist>(_nl_own)),
       _nl(*_nl_hold)
 {
-    _val = _nl.initValues();
-    _lazy_gen.assign(_val.size(), 0);
-    _visiting.assign(_val.size(), 0);
-    _reg_next.reserve(_nl.regs().size());
-    for (NetId r : _nl.regs())
-        _reg_next.push_back(_val[static_cast<size_t>(r)]);
-    _wire_last.reserve(_nl.wireNets().size());
-    _wire_slot.assign(_val.size(), -1);
-    for (size_t i = 0; i < _nl.wireNets().size(); i++) {
-        NetId w = _nl.wireNets()[i];
-        _wire_last.emplace_back(_nl.net(w).width);
-        _wire_slot[static_cast<size_t>(w)] =
-            static_cast<int32_t>(i);
-    }
+    size_t nets = _nl.nets().size();
+    growRuntimeArrays();
+    _reg_next.assign(_frame_words, 0);
+    _wire_last.assign(_frame_words, 0);
+    for (NetId w : _nl.wireNets())
+        _is_wire[static_cast<size_t>(w)] = 1;
     _buckets.resize(_nl.levelCount());
-    _dirty_mark.assign(_val.size(), 0);
-    _change_mark.assign(_val.size(), 0);
-    _level_of.reserve(_val.size());
+    _level_of.reserve(nets);
     for (const Net &n : _nl.nets())
         _level_of.push_back(n.level);
     _stats.strict_nodes = _nl.order().size();
@@ -129,7 +161,7 @@ Sim::Sim(std::shared_ptr<const Module> top,
     // sort, so each enable's updates stay in declaration order and
     // last-wins semantics are preserved).
     const auto &updates = _nl.updates();
-    _upd_begin.assign(_val.size() + 1, 0);
+    _upd_begin.assign(nets + 1, 0);
     for (const auto &u : updates)
         _upd_begin[static_cast<size_t>(u.enable) + 1]++;
     for (size_t i = 1; i < _upd_begin.size(); i++)
@@ -214,23 +246,36 @@ Sim::recordChange(NetId id)
     _frame_changed.push_back(id);
 }
 
+/** A source's words moved: queue its cone for the next sweep (the
+ *  attached kernel's worklists too). */
 void
 Sim::seedSource(NetId id)
 {
     _seeds.push_back(id);
     _poke_tick++;
-    if (_kctx) {
-        // Sources are Sim-owned: mirror the new value into the
-        // kernel's state array and mark its consumer blocks dirty.
-        size_t i = static_cast<size_t>(id);
-        const BitVec &v = _val[i];
-        uint64_t *p = _kptr[i];
-        int w = _nl.net(id).width;
-        int words = w <= 0 ? 1 : (w + 63) / 64;
-        for (int k = 0; k < words; k++)
-            p[k] = v.word(k);
+    if (_kctx)
         _kernel.abi->poke(_kctx, static_cast<int32_t>(id));
+}
+
+/** Write `v`, resized to the source's width, into its frame words;
+ *  record and seed it if the value moved. */
+void
+Sim::pokeSource(NetId id, const BitVec &v)
+{
+    int width = _nl.net(id).width;
+    uint32_t nw = Netlist::wordsFor(width);
+    uint64_t *w = words(id), moved = 0;
+    for (uint32_t k = 0; k < nw; k++) {
+        uint64_t x = v.word(static_cast<int>(k)) &
+            (k + 1 == nw ? topMask(width) : ~0ull);
+        moved |= x ^ w[k];
+        w[k] = x;
     }
+    if (!moved)
+        return;
+    recordChange(id);
+    seedSource(id);
+    _dirty = true;
 }
 
 const char *
@@ -243,6 +288,8 @@ kernelMismatch(const AnvilKernel *abi, const Netlist &nl)
     if (abi->design_hash != designHash(nl) ||
         abi->net_count != nl.nets().size())
         return "kernel design hash mismatch";
+    if (abi->state_words != nl.stateWords())
+        return "kernel frame layout mismatch";
     return nullptr;
 }
 
@@ -254,56 +301,33 @@ Sim::attachKernel(const KernelRef &kernel)
     void *ctx = kernel.abi->create();
     if (!ctx)
         return false;
+    // Lend the frame: net 0 sits at word 0, so the context's state
+    // block starts at net_ptr(ctx, 0) and has the same layout (a
+    // design without nets has no state to lend).  The sources changed
+    // since the last sweep are queued in the kernel exactly as they
+    // are in _seeds, and _need_full carries over, so the next sweep
+    // reports the interpreter's changes, no resync.
+    if (!_nl.nets().empty()) {
+        uint64_t *block = kernel.abi->net_ptr(ctx, 0);
+        std::copy(_frame, _frame + _frame_words, block);
+        _frame = block;
+        std::vector<uint64_t>().swap(_own);
+    }
+    for (NetId s : _seeds)
+        kernel.abi->poke(ctx, static_cast<int32_t>(s));
     if (_kctx)
         _kernel.abi->destroy(_kctx);
     _kernel = kernel;
     _kctx = ctx;
     _kchanged.assign(_nl.nets().size(), 0);
-    _kstale.assign(_val.size(), 0);
-    _kptr.resize(_nl.nets().size());
-    for (size_t i = 0; i < _kptr.size(); i++)
-        _kptr[i] =
-            kernel.abi->net_ptr(ctx, static_cast<int32_t>(i));
-    // The kernel starts from the netlist's init values; push the
-    // current source state (which may already differ) and force one
-    // dense eval so every strict value is consistent with it.
-    for (size_t i = 0; i < _nl.nets().size(); i++) {
-        const Net &n = _nl.net(static_cast<NetId>(i));
-        if (n.kind != Net::Kind::Input && n.kind != Net::Kind::Reg)
-            continue;
-        const BitVec &v = _val[i];
-        uint64_t *p = _kptr[i];
-        int words = n.width <= 0 ? 1 : (n.width + 63) / 64;
-        for (int k = 0; k < words; k++)
-            p[k] = v.word(k);
-        _kernel.abi->poke(_kctx, static_cast<int32_t>(i));
-    }
-    _need_full = true;
-    _dirty = true;
     return true;
-}
-
-/** Copy one net's value out of the kernel's packed-word state. */
-void
-Sim::refreshFromKernel(NetId id)
-{
-    size_t i = static_cast<size_t>(id);
-    _kstale[i] = 0;
-    const uint64_t *p = _kptr[i];
-    BitVec &v = _val[i];
-    if (v.width() <= 64)
-        v.setUint64(p[0]);
-    else
-        v.setWords(p, (v.width() + 63) / 64);
 }
 
 /**
  * Sweep by calling into the attached kernel.  The kernel runs the
  * same levelized event-driven schedule (exact per-level worklists,
- * change-cutting, its own dense-fallback hysteresis); its exact
- * changed-net list feeds the interpreter's frame bookkeeping, and the
- * values themselves are copied back lazily (valOf) only when an
- * observer or the clock edge actually reads them.
+ * change-cutting, its own dense-fallback hysteresis) over the lent
+ * frame; its exact changed-net list feeds the frame bookkeeping.
  */
 void
 Sim::sweepKernel()
@@ -316,11 +340,8 @@ Sim::sweepKernel()
     _frame_evals += ev;
     _seeds.clear();
     _need_full = false;
-    for (uint64_t k = 0; k < n; k++) {
-        NetId id = _kchanged[static_cast<size_t>(k)];
-        _kstale[static_cast<size_t>(id)] = 1;
-        recordChange(id);
-    }
+    for (uint64_t k = 0; k < n; k++)
+        recordChange(_kchanged[static_cast<size_t>(k)]);
 }
 
 /** Mark the strict consumers of a changed net for re-evaluation. */
@@ -350,30 +371,46 @@ Sim::setInput(const std::string &name, const BitVec &v)
     const NetSignal *sig = findSignal(name);
     if (!sig || sig->kind != NetSignal::Kind::Input)
         throw std::invalid_argument("no such input: " + name);
-    size_t i = static_cast<size_t>(sig->net);
-    BitVec nv = v.resize(sig->width);
-    if (nv == _val[i])
-        return;
-    _val[i] = std::move(nv);
-    recordChange(sig->net);
-    seedSource(sig->net);
-    _dirty = true;
+    pokeSource(sig->net, v);
 }
 
 void
 Sim::setInput(const std::string &name, uint64_t v)
 {
-    const NetSignal *sig = findSignal(name);
-    if (!sig || sig->kind != NetSignal::Kind::Input)
-        throw std::invalid_argument("no such input: " + name);
-    size_t i = static_cast<size_t>(sig->net);
-    BitVec nv(sig->width, v);
-    if (nv == _val[i])
-        return;
-    _val[i] = std::move(nv);
-    recordChange(sig->net);
-    seedSource(sig->net);
-    _dirty = true;
+    setInput(name, BitVec(64, v));
+}
+
+/** Copy `src` zero-extended or truncated to `width` bits into dst. */
+void
+Sim::resizeInto(uint64_t *dst, int width, NetId src) const
+{
+    const uint64_t *s = words(src);
+    size_t ns = Netlist::wordsFor(_nl.net(src).width);
+    size_t nd = Netlist::wordsFor(width);
+    for (size_t k = 0; k < nd; k++)
+        dst[k] = wordAt(s, ns, k);
+    dst[nd - 1] &= topMask(width);
+}
+
+/** Move the wide result in _scratch into the net's words; returns
+ *  whether the value changed. */
+bool
+Sim::storeScratch(NetId id)
+{
+    uint64_t *w = words(id);
+    size_t nw = Netlist::wordsFor(_nl.net(id).width);
+    if (std::equal(w, w + nw, _scratch.data()))
+        return false;
+    std::copy(_scratch.data(), _scratch.data() + nw, w);
+    return true;
+}
+
+BitVec
+Sim::load(NetId id) const
+{
+    BitVec v(_nl.net(id).width);
+    v.setWords(words(id), v.words());
+    return v;
 }
 
 /**
@@ -386,7 +423,6 @@ bool
 Sim::computeNet(NetId id)
 {
     const Net &n = _nl.net(id);
-    BitVec &out = _val[static_cast<size_t>(id)];
 
     // Attribution hook (setEvalCounting).  Nets appended after
     // counting was enabled (evalTop) are skipped.
@@ -394,153 +430,181 @@ Sim::computeNet(NetId id)
         static_cast<size_t>(id) < _eval_count.size())
         _eval_count[static_cast<size_t>(id)]++;
 
-    if (n.fast) {
-        // u64 lane: every involved value fits one word.  Operand
-        // values are normalized, so toUint64() is the whole value;
-        // setUint64() re-applies this node's width mask.
-        uint64_t old = out.toUint64();
-        uint64_t r = 0;
-        switch (n.kind) {
-          case Net::Kind::Copy:
-            r = _val[static_cast<size_t>(n.a)].toUint64();
-            break;
-          case Net::Kind::Unop: {
-            uint64_t a = _val[static_cast<size_t>(n.a)].toUint64();
-            switch (n.op) {
-              case Op::Not: r = ~a; break;
-              case Op::RedOr: r = a != 0; break;
-              case Op::RedAnd: r = a == _nl.net(n.a).mask; break;
-              default: throw std::logic_error("bad unary op");
-            }
-            break;
-          }
-          case Net::Kind::Binop: {
-            uint64_t a = _val[static_cast<size_t>(n.a)].toUint64();
-            uint64_t b = _val[static_cast<size_t>(n.b)].toUint64();
-            uint64_t m = n.mask;
-            switch (n.op) {
-              case Op::And: r = a & b; break;
-              case Op::Or: r = a | b; break;
-              case Op::Xor: r = a ^ b; break;
-              case Op::Add: r = (a & m) + (b & m); break;
-              case Op::Sub: r = (a & m) - (b & m); break;
-              case Op::Mul: r = (a & m) * (b & m); break;
-              case Op::Eq: r = a == b; break;
-              case Op::Ne: r = a != b; break;
-              case Op::Lt: r = a < b; break;
-              case Op::Le: r = a <= b; break;
-              case Op::Gt: r = a > b; break;
-              case Op::Ge: r = a >= b; break;
-              case Op::Shl: {
-                uint64_t sh = b & m;
-                r = sh >= static_cast<uint64_t>(n.width)
-                    ? 0 : (a & m) << sh;
-                break;
-              }
-              case Op::Shr: {
-                uint64_t sh = b & m;
-                r = sh >= static_cast<uint64_t>(n.width)
-                    ? 0 : (a & m) >> sh;
-                break;
-              }
-              default: throw std::logic_error("bad binary op");
-            }
-            break;
-          }
-          case Net::Kind::Mux:
-            r = _val[static_cast<size_t>(n.a)].toUint64() != 0
-                ? _val[static_cast<size_t>(n.b)].toUint64()
-                : _val[static_cast<size_t>(n.c)].toUint64();
-            break;
-          case Net::Kind::Slice: {
-            uint64_t a = _val[static_cast<size_t>(n.a)].toUint64();
-            if (n.lo >= 0)
-                r = n.lo >= 64 ? 0 : a >> n.lo;
-            else
-                // Bits below index 0 read as zero: a left shift.
-                r = -n.lo >= 64 ? 0 : a << -n.lo;
-            break;
-          }
-          case Net::Kind::Concat: {
-            uint64_t acc = 0;
-            int sh = 0;
-            // cargs are hi-first; assemble from the low end.
-            for (auto it = n.cargs.rbegin(); it != n.cargs.rend();
-                 ++it) {
-                acc |= _val[static_cast<size_t>(*it)].toUint64()
-                    << sh;
-                sh += _nl.net(*it).width;
-                if (sh >= 64)
-                    break;
-            }
-            r = acc;
-            break;
-          }
-          case Net::Kind::Rom: {
-            uint64_t addr =
-                _val[static_cast<size_t>(n.a)].toUint64();
-            r = addr < n.rom->size() ? (*n.rom)[addr].toUint64() : 0;
-            break;
-          }
-          default:
-            break;   // sources are never in the sweep order
-        }
-        out.setUint64(r);
-        return (r & n.mask) != old;
+    if (!n.fast) {
+        if (n.kind == Net::Kind::BadRef)
+            throw std::invalid_argument("no such signal: " +
+                                        _nl.nameOf(id));
+        // Zero-width values are the empty bit string: permanently
+        // zero, as in the compiled kernel.
+        if (n.width <= 0 || !computeWide(n))
+            return false;
+        return storeScratch(id);
     }
 
-    BitVec nv(n.width);
+    // u64 lane: every involved value fits one word, and frame words
+    // are normalized, so an operand's word 0 is its whole value.
+    auto val = [this](NetId o) { return *words(o); };
+    uint64_t *out = words(id);
+    uint64_t old = *out;
+    uint64_t r = 0;
     switch (n.kind) {
       case Net::Kind::Copy:
-        nv = _val[static_cast<size_t>(n.a)].resize(n.width);
+        r = val(n.a);
         break;
-      case Net::Kind::Unop:
-        nv = applyUnop(n.op, _val[static_cast<size_t>(n.a)]);
-        break;
-      case Net::Kind::Binop:
-        nv = applyBinop(n.op, _val[static_cast<size_t>(n.a)],
-                        _val[static_cast<size_t>(n.b)], n.width);
-        break;
-      case Net::Kind::Mux:
-        nv = (_val[static_cast<size_t>(n.a)].any()
-                  ? _val[static_cast<size_t>(n.b)]
-                  : _val[static_cast<size_t>(n.c)])
-                 .resize(n.width);
-        break;
-      case Net::Kind::Slice:
-        nv = _val[static_cast<size_t>(n.a)].slice(n.lo, n.width);
-        break;
-      case Net::Kind::Concat: {
-        BitVec acc(0);
-        bool first = true;
-        for (auto it = n.cargs.rbegin(); it != n.cargs.rend(); ++it) {
-            const BitVec &part = _val[static_cast<size_t>(*it)];
-            if (first) {
-                acc = part;
-                first = false;
-            } else {
-                acc = acc.concatHigh(part);
-            }
+      case Net::Kind::Unop: {
+        uint64_t a = val(n.a);
+        switch (n.op) {
+          case Op::Not: r = ~a; break;
+          case Op::RedOr: r = a != 0; break;
+          case Op::RedAnd: r = a == _nl.net(n.a).mask; break;
+          default: throw std::logic_error("bad unary op");
         }
-        nv = acc.resize(n.width);
+        break;
+      }
+      case Net::Kind::Binop: {
+        uint64_t a = val(n.a);
+        uint64_t b = val(n.b);
+        uint64_t m = n.mask;
+        switch (n.op) {
+          case Op::And: r = a & b; break;
+          case Op::Or: r = a | b; break;
+          case Op::Xor: r = a ^ b; break;
+          case Op::Add: r = (a & m) + (b & m); break;
+          case Op::Sub: r = (a & m) - (b & m); break;
+          case Op::Mul: r = (a & m) * (b & m); break;
+          case Op::Eq: r = a == b; break;
+          case Op::Ne: r = a != b; break;
+          case Op::Lt: r = a < b; break;
+          case Op::Le: r = a <= b; break;
+          case Op::Gt: r = a > b; break;
+          case Op::Ge: r = a >= b; break;
+          case Op::Shl: {
+            uint64_t sh = b & m;
+            r = sh >= static_cast<uint64_t>(n.width)
+                ? 0 : (a & m) << sh;
+            break;
+          }
+          case Op::Shr: {
+            uint64_t sh = b & m;
+            r = sh >= static_cast<uint64_t>(n.width)
+                ? 0 : (a & m) >> sh;
+            break;
+          }
+          default: throw std::logic_error("bad binary op");
+        }
+        break;
+      }
+      case Net::Kind::Mux:
+        r = val(n.a) != 0 ? val(n.b) : val(n.c);
+        break;
+      case Net::Kind::Slice: {
+        uint64_t a = val(n.a);
+        if (n.lo >= 0)
+            r = n.lo >= 64 ? 0 : a >> n.lo;
+        else
+            // Bits below index 0 read as zero: a left shift.
+            r = -n.lo >= 64 ? 0 : a << -n.lo;
+        break;
+      }
+      case Net::Kind::Concat: {
+        int sh = 0;
+        // cargs are hi-first; assemble from the low end.
+        for (auto it = n.cargs.rbegin(); it != n.cargs.rend(); ++it) {
+            r |= val(*it) << sh;
+            sh += _nl.net(*it).width;
+            if (sh >= 64)
+                break;
+        }
         break;
       }
       case Net::Kind::Rom: {
-        uint64_t addr = _val[static_cast<size_t>(n.a)].toUint64();
-        nv = addr >= n.rom->size()
-            ? BitVec(n.width)
-            : (*n.rom)[addr].resize(n.width);
+        uint64_t addr = val(n.a);
+        r = addr < n.rom->size() ? (*n.rom)[addr].toUint64() : 0;
         break;
       }
-      case Net::Kind::BadRef:
-        throw std::invalid_argument("no such signal: " +
-                                    _nl.nameOf(id));
       default:
-        break;
+        return false;   // sources are never in the sweep order
     }
-    if (nv == out)
-        return false;
-    out = std::move(nv);
+    *out = r & n.mask;
+    return *out != old;
+}
+
+/**
+ * The wide lane: compute a node whose value or operands exceed one
+ * word into _scratch (normalized to the node's width).  Moves,
+ * selects and bitwise operators work on the frame words directly;
+ * the other operators go through BitVec.  Returns false for sources,
+ * which are never computed.
+ */
+bool
+Sim::computeWide(const Net &n)
+{
+    uint64_t *s = _scratch.data();
+    size_t nd = Netlist::wordsFor(n.width);
+    auto nwords = [this](NetId o) {
+        return static_cast<size_t>(Netlist::wordsFor(_nl.net(o).width));
+    };
+    switch (n.kind) {
+      case Net::Kind::Copy:
+        resizeInto(s, n.width, n.a);
+        return true;
+      case Net::Kind::Mux:
+        resizeInto(s, n.width, anyBit(n.a) ? n.b : n.c);
+        return true;
+      case Net::Kind::Slice:
+        for (size_t k = 0; k < nd; k++)
+            s[k] = bitsAt(words(n.a), nwords(n.a),
+                          n.lo + 64 * static_cast<int64_t>(k));
+        break;
+      case Net::Kind::Concat: {
+        std::fill(s, s + nd, 0);
+        size_t pos = 0;   // cargs are hi-first; fill from bit 0 up
+        for (auto it = n.cargs.rbegin();
+             it != n.cargs.rend() && pos < nd * 64; ++it) {
+            const uint64_t *p = words(*it);
+            for (size_t k = 0; k < nwords(*it); k++) {
+                size_t at = pos + 64 * k, wi = at / 64, sh = at % 64;
+                if (wi < nd)
+                    s[wi] |= p[k] << sh;
+                if (sh && wi + 1 < nd)
+                    s[wi + 1] |= p[k] >> (64 - sh);
+            }
+            pos += static_cast<size_t>(std::max(_nl.net(*it).width, 0));
+        }
+        break;
+      }
+      case Net::Kind::Rom: {
+        uint64_t addr = *words(n.a);
+        for (size_t k = 0; k < nd; k++)
+            s[k] = addr < n.rom->size()
+                ? (*n.rom)[addr].word(static_cast<int>(k)) : 0;
+        break;
+      }
+      case Net::Kind::Binop:
+        if (n.op == Op::And || n.op == Op::Or || n.op == Op::Xor) {
+            const uint64_t *a = words(n.a), *b = words(n.b);
+            for (size_t k = 0; k < nd; k++) {
+                uint64_t x = wordAt(a, nwords(n.a), k);
+                uint64_t y = wordAt(b, nwords(n.b), k);
+                s[k] = n.op == Op::And ? x & y
+                    : n.op == Op::Or   ? x | y
+                                       : x ^ y;
+            }
+            break;
+        }
+        [[fallthrough]];
+      case Net::Kind::Unop: {
+        BitVec r = n.kind == Net::Kind::Unop
+            ? applyUnop(n.op, load(n.a))
+            : applyBinop(n.op, load(n.a), load(n.b), n.width);
+        for (size_t k = 0; k < nd; k++)
+            s[k] = r.word(static_cast<int>(k));
+        break;
+      }
+      default:
+        return false;   // sources are never in the sweep order
+    }
+    s[nd - 1] &= topMask(n.width);
     return true;
 }
 
@@ -550,21 +614,19 @@ Sim::computeNet(NetId id)
  * unresolved references fault only when reached, and re-entering a
  * named wire raises the combinational-loop error.
  */
-const BitVec &
+void
 Sim::evalLazy(NetId id)
 {
     size_t i = static_cast<size_t>(id);
     const Net &n = _nl.net(id);
-    if (!n.lazy)
-        return valOf(id);   // strict values may live in the kernel
-    if (_lazy_gen[i] == _gen)
-        return _val[i];
+    if (!n.lazy || _lazy_gen[i] == _gen)
+        return;
     switch (n.kind) {
       case Net::Kind::Const:
       case Net::Kind::Input:
       case Net::Kind::Reg:
         _lazy_gen[i] = _gen;
-        return _val[i];
+        return;
       case Net::Kind::BadRef:
         throw std::invalid_argument("no such signal: " +
                                     _nl.nameOf(id));
@@ -584,29 +646,14 @@ Sim::evalLazy(NetId id)
     }
 
     if (n.kind == Net::Kind::Mux) {
-        bool taken = evalLazy(n.a).any();
-        const BitVec &src = evalLazy(taken ? n.b : n.c);
-        if (n.fast) {
-            uint64_t old = _val[i].toUint64();
-            _val[i].setUint64(src.toUint64());
-            if (_val[i].toUint64() != old)
-                recordChange(id);
-        } else {
-            BitVec nv = src.resize(n.width);
-            if (nv != _val[i]) {
-                _val[i] = std::move(nv);
-                recordChange(id);
-            }
-        }
+        evalLazy(n.a);
+        NetId src = anyBit(n.a) ? n.b : n.c;
+        evalLazy(src);
+        resizeInto(_scratch.data(), n.width, src);
+        if (storeScratch(id))
+            recordChange(id);
     } else {
-        if (n.a != kNoNet)
-            evalLazy(n.a);
-        if (n.b != kNoNet)
-            evalLazy(n.b);
-        if (n.c != kNoNet)
-            evalLazy(n.c);
-        for (NetId arg : n.cargs)
-            evalLazy(arg);
+        Netlist::forEachOperand(n, [this](NetId o) { evalLazy(o); });
         if (computeNet(id))
             recordChange(id);
     }
@@ -614,7 +661,6 @@ Sim::evalLazy(NetId id)
     if (guard)
         _visiting[i] = 0;
     _lazy_gen[i] = _gen;
-    return _val[i];
 }
 
 /** Dense fallback: recompute every strict node in levelized order. */
@@ -741,14 +787,12 @@ Sim::peek(const std::string &name)
     const NetSignal *sig = findSignal(flat);
     if (!sig)
         throw std::invalid_argument("no such signal: " + flat);
-    sweep();
-    return evalLazy(sig->net);
+    return value(sig->net);
 }
 
 void
 Sim::step(int n)
 {
-    const auto &wires = _nl.wireNets();
     const auto &regs = _nl.regs();
     const auto &updates = _nl.updates();
     for (int it = 0; it < n; it++) {
@@ -768,7 +812,7 @@ Sim::step(int n)
         if (!_armed_primed) {
             _armed_count = 0;
             for (size_t u = 0; u < updates.size(); u++) {
-                _armed[u] = valOf(updates[u].enable).any() ? 1 : 0;
+                _armed[u] = anyBit(updates[u].enable) ? 1 : 0;
                 if (_armed[u])
                     _armed_count++;
             }
@@ -776,15 +820,12 @@ Sim::step(int n)
         } else {
             for (NetId id : _frame_changed) {
                 size_t i = static_cast<size_t>(id);
-                if (i + 1 >= _upd_begin.size())
-                    continue;
                 for (int32_t k = _upd_begin[i]; k < _upd_begin[i + 1];
                      k++) {
                     size_t u =
                         static_cast<size_t>(_upd_list[static_cast<
                             size_t>(k)]);
-                    uint8_t armed =
-                        valOf(updates[u].enable).any() ? 1 : 0;
+                    uint8_t armed = anyBit(updates[u].enable) ? 1 : 0;
                     if (armed == _armed[u])
                         continue;
                     _armed[u] = armed;
@@ -796,44 +837,24 @@ Sim::step(int n)
             }
         }
 
-        // Toggle accounting against the previous cycle's values,
+        // Toggle accounting against the previous cycle's words,
         // driven by the changed-net list: a wire absent from the
-        // list is unchanged and contributes no toggles.  The xor
-        // popcount works straight off the two values' words, so the
-        // delta never materializes.
+        // list is unchanged and contributes no toggles.
         if (_toggles_primed) {
             for (NetId id : _frame_changed) {
-                int32_t slot = _wire_slot[static_cast<size_t>(id)];
-                if (slot < 0)
+                if (!_is_wire[static_cast<size_t>(id)])
                     continue;
-                size_t s = static_cast<size_t>(slot);
-                size_t i = static_cast<size_t>(id);
-                if (_kctx && _kstale[i]) {
-                    // Kernel-owned value: count toggles straight off
-                    // the kernel's words and refresh only the
-                    // last-seen copy.  The host mirror stays stale —
-                    // it is refreshed lazily if an observer actually
-                    // reads it — so the per-change tax of the
-                    // compiled backend is one popcount, not a BitVec
-                    // round trip.
-                    const uint64_t *p = _kptr[i];
-                    BitVec &last = _wire_last[s];
-                    _total_toggles += static_cast<uint64_t>(
-                        last.xorPopcountWords(p, last.words()));
-                    if (last.width() <= 64)
-                        last.setUint64(p[0]);
-                    else
-                        last.setWords(p, last.words());
-                    continue;
-                }
-                const BitVec &cur = valOf(id);
-                _total_toggles += static_cast<uint64_t>(
-                    cur.xorPopcount(_wire_last[s]));
-                _wire_last[s] = cur;
+                const uint64_t *cur = words(id);
+                uint64_t *last = &_wire_last[_nl.wordOffset(id)];
+                size_t nw = Netlist::wordsFor(_nl.net(id).width);
+                _total_toggles += flips(cur, last, nw);
+                std::copy(cur, cur + nw, last);
             }
         } else {
-            for (size_t i = 0; i < wires.size(); i++)
-                _wire_last[i] = valOf(wires[i]);
+            // Wires are never appended, so they all sit inside the
+            // construction-time frame that _wire_last mirrors.
+            std::copy(_frame, _frame + _wire_last.size(),
+                      _wire_last.begin());
             _toggles_primed = true;
         }
 
@@ -854,15 +875,15 @@ Sim::step(int n)
                     _touched_regs.push_back(
                         static_cast<int32_t>(ri));
                 }
-                _reg_next[ri] = valOf(up.value).resize(
-                    _nl.net(regs[ri]).width);
+                resizeInto(&_reg_next[_nl.wordOffset(regs[ri])],
+                           _nl.net(regs[ri]).width, up.value);
             }
         }
         for (const auto &p : _nl.prints()) {
-            if (valOf(p.enable).any()) {
+            if (anyBit(p.enable)) {
                 std::string line = p.text;
                 if (p.value != kNoNet)
-                    line += " " + valOf(p.value).toHex();
+                    line += " " + load(p.value).toHex();
                 _log.push_back(line);
             }
         }
@@ -880,14 +901,17 @@ Sim::step(int n)
             for (int32_t r : _touched_regs) {
                 size_t i = static_cast<size_t>(r);
                 _reg_touched[i] = 0;
-                BitVec &cur = _val[static_cast<size_t>(regs[i])];
-                int flips = _reg_next[i].xorPopcount(cur);
-                if (flips == 0)
+                NetId reg = regs[i];
+                uint64_t *cur = words(reg);
+                const uint64_t *next = &_reg_next[_nl.wordOffset(reg)];
+                size_t nw = Netlist::wordsFor(_nl.net(reg).width);
+                uint64_t f = flips(cur, next, nw);
+                if (f == 0)
                     continue;
-                _total_toggles += static_cast<uint64_t>(flips);
-                cur = _reg_next[i];
-                recordChange(regs[i]);
-                seedSource(regs[i]);
+                _total_toggles += f;
+                std::copy(next, next + nw, cur);
+                recordChange(reg);
+                seedSource(reg);
             }
             _touched_regs.clear();
         }
@@ -924,7 +948,7 @@ Sim::regValue(const std::string &flat_name) const
     const NetSignal *sig = findSignal(flat_name);
     if (!sig || sig->kind != NetSignal::Kind::Reg)
         throw std::invalid_argument("no such register: " + flat_name);
-    return _val[static_cast<size_t>(sig->net)];
+    return load(sig->net);
 }
 
 void
@@ -933,14 +957,7 @@ Sim::setRegValue(const std::string &flat_name, const BitVec &v)
     const NetSignal *sig = findSignal(flat_name);
     if (!sig || sig->kind != NetSignal::Kind::Reg)
         throw std::invalid_argument("no such register: " + flat_name);
-    size_t i = static_cast<size_t>(sig->net);
-    BitVec nv = v.resize(sig->width);
-    if (nv == _val[i])
-        return;
-    _val[i] = std::move(nv);
-    recordChange(sig->net);
-    seedSource(sig->net);
-    _dirty = true;
+    pokeSource(sig->net, v);
 }
 
 std::vector<BitVec>
@@ -949,7 +966,7 @@ Sim::captureRegs() const
     std::vector<BitVec> vals;
     vals.reserve(_nl.regs().size());
     for (NetId r : _nl.regs())
-        vals.push_back(_val[static_cast<size_t>(r)]);
+        vals.push_back(load(r));
     return vals;
 }
 
@@ -959,29 +976,16 @@ Sim::setReg(size_t reg_index, const BitVec &v)
     const auto &regs = _nl.regs();
     if (reg_index >= regs.size())
         throw std::invalid_argument("register index out of range");
-    size_t ri = static_cast<size_t>(regs[reg_index]);
-    int width = _nl.net(regs[reg_index]).width;
-    // No-op fast path before any resize copy: the prover re-parks
-    // the whole register file every step and nearly every write is
-    // a no-op.
-    if (v.width() == width && v == _val[ri])
-        return;
-    BitVec nv = v.resize(width);
-    if (nv == _val[ri])
-        return;
-    _val[ri] = std::move(nv);
-    recordChange(regs[reg_index]);
-    seedSource(regs[reg_index]);
-    _dirty = true;
+    pokeSource(regs[reg_index], v);
 }
 
-const BitVec &
+BitVec
 Sim::regValue(size_t reg_index) const
 {
     const auto &regs = _nl.regs();
     if (reg_index >= regs.size())
         throw std::invalid_argument("register index out of range");
-    return _val[static_cast<size_t>(regs[reg_index])];
+    return load(regs[reg_index]);
 }
 
 void
@@ -990,25 +994,18 @@ Sim::restoreRegs(const std::vector<BitVec> &vals)
     const auto &regs = _nl.regs();
     if (vals.size() != regs.size())
         throw std::invalid_argument("register snapshot size mismatch");
-    for (size_t i = 0; i < regs.size(); i++) {
-        size_t ri = static_cast<size_t>(regs[i]);
-        BitVec nv = vals[i].resize(_nl.net(regs[i]).width);
-        if (nv == _val[ri])
-            continue;
-        _val[ri] = std::move(nv);
-        recordChange(regs[i]);
-        seedSource(regs[i]);
-        _dirty = true;
-    }
+    for (size_t i = 0; i < regs.size(); i++)
+        pokeSource(regs[i], vals[i]);
 }
 
-const BitVec &
+BitVec
 Sim::value(NetId id)
 {
-    if (id < 0 || static_cast<size_t>(id) >= _val.size())
+    if (id < 0 || static_cast<size_t>(id) >= _nl.nets().size())
         throw std::invalid_argument("no such net id");
     sweep();
-    return evalLazy(id);
+    evalLazy(id);
+    return load(id);
 }
 
 std::vector<std::string>
@@ -1021,24 +1018,42 @@ Sim::inputNames() const
     return out;
 }
 
+/**
+ * Size the per-net arrays and the value frame to the netlist, and
+ * give every new net its initial words.  Nets appended by evalTop
+ * grow the host frame, or the host tail once a kernel holds the
+ * frame (appended nets are lazy: the kernel never reads them).
+ */
 void
-Sim::growRuntimeArrays(size_t n)
+Sim::growRuntimeArrays()
 {
-    const auto &init = _nl.initValues();
-    for (size_t i = _val.size(); i < n; i++)
-        _val.push_back(init[i]);
+    size_t old = _lazy_gen.size(), n = _nl.nets().size();
+    if (_frame != _own.data()) {   // lent to a kernel
+        _tail.resize(_nl.stateWords() - _frame_words, 0);
+    } else {
+        _own.resize(_nl.stateWords(), 0);
+        _frame = _own.data();
+        _frame_words = _own.size();
+    }
+    for (size_t i = old; i < n; i++) {
+        NetId id = static_cast<NetId>(i);
+        const BitVec &init = _nl.initValues()[i];
+        uint32_t nw = Netlist::wordsFor(_nl.net(id).width);
+        uint64_t *w = words(id);
+        for (uint32_t k = 0; k < nw; k++)
+            w[k] = init.word(static_cast<int>(k));
+        if (_scratch.size() < nw)
+            _scratch.resize(nw);
+    }
     _lazy_gen.resize(n, 0);
     _visiting.resize(n, 0);
     _dirty_mark.resize(n, 0);
     _change_mark.resize(n, 0);
-    _wire_slot.resize(n, -1);
-    if (!_kstale.empty())
-        _kstale.resize(n, 0);   // appended nets are never in the kernel
-    if (!_kptr.empty())
-        _kptr.resize(n, nullptr);
+    _is_wire.resize(n, 0);
     // Appended nets are lazy and never drive updates; keep the CSR
     // indexable for changed-net consumers.
-    _upd_begin.resize(n + 1, _upd_begin.back());
+    if (!_upd_begin.empty())
+        _upd_begin.resize(n + 1, _upd_begin.back());
 }
 
 BitVec
@@ -1057,13 +1072,11 @@ Sim::evalTop(const ExprPtr &e)
                 "Sim::evalTop: cannot compile ad-hoc expressions "
                 "on a shared immutable netlist");
         id = _nl_own->compile(e, "");
-        // Appended nodes are lazy; grow the runtime arrays.
-        growRuntimeArrays(_nl.initValues().size());
+        growRuntimeArrays();
         _top_cache.emplace(e.get(), id);
         _top_exprs.push_back(e);
     }
-    sweep();
-    return evalLazy(id);
+    return value(id);
 }
 
 } // namespace rtl

@@ -31,6 +31,11 @@
  * monitors — consume change events instead of rescanning the whole
  * net table every cycle.
  *
+ * All design state lives in one packed-word value frame laid out by
+ * Netlist::wordOffset: the interpreter computes in it, and an attached
+ * compiled kernel is lent the same frame, so there is never a second
+ * copy of any value to keep in step.
+ *
  * The simulator also counts per-signal bit toggles, which the
  * synthesis cost model uses as switching activity for dynamic power.
  * The original recursive interpreter is preserved as rtl::RefSim
@@ -41,6 +46,7 @@
 #ifndef ANVIL_RTL_INTERP_H
 #define ANVIL_RTL_INTERP_H
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -102,8 +108,8 @@ struct KernelRef
 /**
  * The one attach check, shared by Sim::attachKernel and the JIT: why
  * `abi` must not drive `nl` (null kernel, another ANVIL_KERNEL_VERSION,
- * or a design hash or net count from another netlist), or null when
- * it may.
+ * or a design hash, net count or frame size from another netlist), or
+ * null when it may.
  */
 const char *kernelMismatch(const AnvilKernel *abi, const Netlist &nl);
 
@@ -244,15 +250,14 @@ class Sim
 
     /**
      * Swap the strict combinational sweep for a compiled kernel
-     * (anvilc --emit-cpp + codegen/jit.h).  Validates the ABI
-     * version, design hash, and net count; on any mismatch nothing
-     * changes and the interpreter keeps running — the compiled
-     * backend is an accelerator, never a correctness dependency.
-     * On success the kernel owns every strict net value (Sim copies
-     * them back lazily as observers ask); sources stay Sim-owned and
-     * are pushed through on every poke and clock edge.  Lazy cones,
-     * the clock edge, prints, toggles, and the changed-net feed are
-     * unchanged, so all observers see bit-identical behaviour.
+     * (anvilc --emit-cpp + codegen/jit.h), at any cycle boundary.
+     * On a kernelMismatch nothing changes and the interpreter keeps
+     * running — the kernel is an accelerator, never a correctness
+     * dependency.  On success the Sim lends its value frame: the
+     * words are copied once into the kernel context's state block,
+     * which is the frame from then on (the kernel writes strict nets
+     * in place, the Sim sources and lazy nets).  Nothing is resynced,
+     * so observers see bit-identical behaviour across the swap.
      */
     bool attachKernel(const KernelRef &kernel);
     bool kernelAttached() const { return _kctx != nullptr; }
@@ -332,23 +337,22 @@ class Sim
      * clock edges, so snapshots taken right after step() need not
      * recompute the combinational frame.
      */
-    const BitVec &regValue(size_t reg_index) const;
+    BitVec regValue(size_t reg_index) const;
 
     /**
      * Value of an interned node at the current cycle.  Sweeps if
      * needed; lazy cones are evaluated on demand and fault exactly
      * like peek.  The id-addressed access of coverage and VCD tracing.
      */
-    const BitVec &value(NetId id);
+    BitVec value(NetId id);
 
     /**
-     * Value of a strict (non-lazy) net in the current frame, without
-     * the re-sweep or lazy walk of value().  Valid inside a
+     * Value of a strict (non-lazy) net as the value frame holds it,
+     * without the re-sweep or lazy walk of value().  Valid inside a
      * ChangeFeed callback, where sample() has already swept the
-     * frame; pulls kernel-owned values out of the attached kernel
-     * when stale.  The per-cycle observer hot path.
+     * frame.  The per-cycle observer hot path.
      */
-    const BitVec &frameValue(NetId id) { return valOf(id); }
+    BitVec frameValue(NetId id) const { return load(id); }
 
     /** Top-level input port names. */
     std::vector<std::string> inputNames() const;
@@ -378,26 +382,33 @@ class Sim
     void sweepDirty();
     void sweepKernel();
     bool computeNet(NetId id);
-    const BitVec &evalLazy(NetId id);
+    bool computeWide(const Net &n);
+    void evalLazy(NetId id);
     const NetSignal *findSignal(const std::string &flat) const;
-    void growRuntimeArrays(size_t n);
+    void growRuntimeArrays();
     void recordChange(NetId id);
     void seedSource(NetId id);
+    void pokeSource(NetId id, const BitVec &v);
     void pushConsumers(NetId id);
     void rollFrame();
-    void refreshFromKernel(NetId id);
+    void resizeInto(uint64_t *dst, int width, NetId src) const;
+    bool storeScratch(NetId id);
+    BitVec load(NetId id) const;
 
-    /**
-     * Current value of a net, pulling it out of the attached kernel
-     * first if the interpreter's copy is stale.  Sources and lazy
-     * nodes are always Sim-owned and never stale.
-     */
-    const BitVec &valOf(NetId id)
+    /** Value words of a net: the frame, or the host-side tail for
+     *  nets appended by evalTop after a kernel took the frame. */
+    uint64_t *words(NetId id) const
     {
-        size_t i = static_cast<size_t>(id);
-        if (_kctx && i < _kstale.size() && _kstale[i])
-            refreshFromKernel(id);
-        return _val[i];
+        size_t o = _nl.wordOffset(id);
+        return o < _frame_words ? _frame + o
+                                : _tail.data() + (o - _frame_words);
+    }
+
+    bool anyBit(NetId id) const
+    {
+        const uint64_t *w = words(id);
+        uint32_t n = Netlist::wordsFor(_nl.net(id).width);
+        return std::any_of(w, w + n, [](uint64_t x) { return x != 0; });
     }
 
     std::shared_ptr<const Module> _top;
@@ -406,9 +417,19 @@ class Sim
     /** Keeps the netlist alive (owned or shared); never null. */
     std::shared_ptr<const Netlist> _nl_hold;
     const Netlist &_nl;
-    std::vector<BitVec> _val;          // current value per node
-    std::vector<BitVec> _reg_next;     // pending next value per reg
-    std::vector<BitVec> _wire_last;    // previous-cycle wire values
+    // The value frame (Netlist::wordOffset layout).  _frame points
+    // at _own until a kernel attaches, then at the kernel context's
+    // state block; nets appended after that live in _tail.
+    uint64_t *_frame = nullptr;
+    size_t _frame_words = 0;
+    std::vector<uint64_t> _own;
+    mutable std::vector<uint64_t> _tail;   // shallow const, as _frame
+    std::vector<uint64_t> _scratch;    // one wide result, pre-store
+    // Frame-shaped edge buffers: pending next value at each
+    // register's offset, previous-cycle value at each wire's.
+    std::vector<uint64_t> _reg_next;
+    std::vector<uint64_t> _wire_last;
+    std::vector<uint8_t> _is_wire;     // toggle-counted net
     std::vector<uint64_t> _lazy_gen;   // per-sweep memo for lazy nodes
     std::vector<uint8_t> _visiting;    // lazy-walk loop detection
     std::vector<ExprPtr> _top_exprs;   // keeps evalTop keys alive
@@ -428,7 +449,6 @@ class Sim
     uint64_t _frame_id = 1;
     uint64_t _poke_tick = 0;           // source mutations, ever
     uint64_t _poke_at_roll = 0;        // _poke_tick at last edge
-    std::vector<int32_t> _wire_slot;   // net -> wireNets index or -1
     uint64_t _frame_evals = 0;
     bool _eval_counting = false;
     std::vector<uint64_t> _eval_count;   // per-net evaluations
@@ -439,11 +459,6 @@ class Sim
     KernelRef _kernel;
     void *_kctx = nullptr;             // kernel instance
     std::vector<int32_t> _kchanged;    // per-sweep changed-net buffer
-    std::vector<uint8_t> _kstale;      // _val[i] behind the kernel
-    std::vector<uint64_t *> _kptr;     // cached net_ptr per net: the
-                                       // kernel state block never
-                                       // moves, so the indirect call
-                                       // is paid once at attach
 
     // Clock-edge bookkeeping: which updates are armed (enable != 0),
     // kept fresh from the changed-net delta, and which registers the

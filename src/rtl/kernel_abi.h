@@ -10,18 +10,19 @@
  * this struct definition so an --emit-cpp dump compiles standalone;
  * the two copies are tied together by `version`, which the emitter
  * writes from ANVIL_KERNEL_VERSION.  rtl::kernelMismatch is the one
- * attach check: it also compares `design_hash` (rtl::designHash) and
- * `net_count`, so a stale object can never be bound to the wrong
- * netlist.
+ * attach check: it also compares `design_hash` (rtl::designHash),
+ * `net_count` and `state_words`, so a stale object can never be bound
+ * to the wrong netlist or frame.
  *
- * Division of labour: the kernel owns only the levelized strict sweep
- * (sources in, changed strict nets out).  Sources (inputs, registers)
- * are pushed in by the host via net_ptr()+poke(); lazy cones, the
- * clock edge, prints, toggles, and every observer stay in rtl::Sim,
- * which remains the single semantic authority.  Values are packed
- * little-endian 64-bit words, ceil(width/64) (min 1) words per net,
- * normalized (bits at or above the width are zero) exactly like
- * anvil::BitVec.
+ * Division of labour: rtl::Sim owns the one value frame and lends it
+ * to the kernel, whose state block (net_ptr(ctx, 0)) becomes the frame
+ * on attach.  The kernel runs only the levelized strict sweep, writing
+ * strict nets in place; the host writes sources in place and calls
+ * poke().  Lazy cones, the clock edge, prints, toggles, and every
+ * observer stay in rtl::Sim, the single semantic authority.  The
+ * layout is rtl::Netlist::wordOffset: packed little-endian 64-bit
+ * words, ceil(width/64) (min 1) per net, normalized exactly like
+ * anvil::BitVec; `state_words` is Netlist::stateWords.
  *
  * The kernel is event-driven internally (per-level exact worklists
  * seeded by poke(), change-cutting, and an adaptive dense fallback
@@ -97,7 +98,7 @@ typedef struct AnvilKernel
     uint64_t (*eval)(void *ctx, int32_t *changed, uint64_t *n_changed);
 
     /** Dense sweep: evaluate every strict node, reporting changes by
-     *  value comparison (the resync path after attach/mode switch).
+     *  value comparison (the first sweep, a mode switch, Full mode).
      *  Pending worklist state is consumed and cleared. */
     uint64_t (*eval_full)(void *ctx, int32_t *changed,
                           uint64_t *n_changed);

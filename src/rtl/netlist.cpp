@@ -118,6 +118,8 @@ Netlist::newNet(Net n)
     if (_constructed)
         n.lazy = true;   // appended nodes are outside the sweep order
     NetId id = static_cast<NetId>(_nets.size());
+    _word_off.push_back(static_cast<uint32_t>(_words));
+    _words += wordsFor(n.width);
     _init.emplace_back(n.width);
     _nets.push_back(std::move(n));
     return id;

@@ -120,6 +120,24 @@ class Netlist
     /** Initial value of every node (register init, zeros, consts). */
     const std::vector<BitVec> &initValues() const { return _init; }
 
+    /**
+     * The one value-frame layout, shared by rtl::Sim and the compiled
+     * kernel: net `id` owns wordsFor(width) packed little-endian
+     * words, normalized like BitVec, from wordOffset(id).  Nets are
+     * laid out in id order (net 0 at word 0); compile() extends it.
+     */
+    uint32_t wordOffset(NetId id) const
+    {
+        return _word_off[static_cast<size_t>(id)];
+    }
+    /** Words in the value frame (at least 1, even with no nets). */
+    uint64_t stateWords() const { return _words ? _words : 1; }
+    /** ceil(width/64), at least 1. */
+    static uint32_t wordsFor(int width)
+    {
+        return width <= 0 ? 1u : static_cast<uint32_t>((width + 63) / 64);
+    }
+
     /** Strict combinational nodes in evaluation order. */
     const std::vector<NetId> &order() const { return _order; }
 
@@ -229,6 +247,8 @@ class Netlist
 
     std::vector<Net> _nets;
     std::vector<BitVec> _init;
+    std::vector<uint32_t> _word_off;
+    uint64_t _words = 0;
     std::vector<NetId> _order;
     std::vector<int32_t> _level_begin;
     std::vector<int32_t> _fanout_begin;

@@ -23,17 +23,6 @@ BitVec::BitVec(int width, uint64_t value)
 }
 
 void
-BitVec::setUint64(uint64_t v)
-{
-    if (small()) {
-        _w0 = v & smallMask();
-        return;
-    }
-    _wide.assign(static_cast<size_t>(words()), 0);
-    _wide[0] = v;
-}
-
-void
 BitVec::setWords(const uint64_t *w, int n)
 {
     uint64_t *d = data();
@@ -337,25 +326,6 @@ bool
 BitVec::ule(const BitVec &o) const
 {
     return ult(o) || *this == o;
-}
-
-int
-BitVec::xorPopcount(const BitVec &o) const
-{
-    int w = std::max(words(), o.words());
-    int n = 0;
-    for (int i = 0; i < w; i++)
-        n += __builtin_popcountll(word(i) ^ o.word(i));
-    return n;
-}
-
-int
-BitVec::xorPopcountWords(const uint64_t *w, int n) const
-{
-    int c = 0;
-    for (int i = 0; i < words(); i++)
-        c += __builtin_popcountll(word(i) ^ (i < n ? w[i] : 0));
-    return c;
 }
 
 int

@@ -66,17 +66,10 @@ class BitVec
     uint64_t toUint64() const { return small() ? _w0 : _wide[0]; }
 
     /**
-     * Overwrite the value in place from a 64-bit integer, keeping the
-     * width.  The hot path of the compiled simulator: for values that
-     * fit the inline word this is a masked store with no allocation.
-     */
-    void setUint64(uint64_t v);
-
-    /**
      * Overwrite the value in place from packed little-endian words
-     * (missing words read as zero; excess words are ignored), keeping
-     * the width.  The wide-value twin of setUint64: how the simulator
-     * mirrors multi-word nets out of a compiled kernel's state.
+     * (missing words read as zero; excess words and bits at or above
+     * the width are ignored), keeping the width.  How a value is read
+     * out of packed-word storage such as the simulator's value frame.
      */
     void setWords(const uint64_t *w, int n);
 
@@ -133,23 +126,6 @@ class BitVec
 
     /** Population count. */
     int popcount() const;
-
-    /**
-     * popcount(*this ^ o) with zero-extension, without materializing
-     * the XOR — the toggle-accounting delta of the simulator's
-     * changed-net sweep.
-     */
-    int xorPopcount(const BitVec &o) const;
-
-    /**
-     * popcount(*this ^ w[0..n)) against raw packed little-endian
-     * words (missing words read as zero).  Lets the simulator count
-     * toggles straight off a compiled kernel's state array without
-     * first mirroring the value into a BitVec.  The caller
-     * guarantees bits at or above width() are clear in w, as the
-     * kernel's masked stores do.
-     */
-    int xorPopcountWords(const uint64_t *w, int n) const;
 
     /** Render as 0x-prefixed hex (width-padded). */
     std::string toHex() const;

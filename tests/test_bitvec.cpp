@@ -245,17 +245,18 @@ TEST(BitVec, ConcatHighNormalizesTopPartialWord)
         EXPECT_EQ(c.bit(50 + i), (i % 2) == 1) << i;
 }
 
-TEST(BitVec, SetUint64KeepsWidthAndMasks)
+TEST(BitVec, SetWordsKeepsWidthAndMasks)
 {
+    const uint64_t narrow = 0xabcd, one = 0x55;
     BitVec v(12);
-    v.setUint64(0xabcd);
+    v.setWords(&narrow, 1);
     EXPECT_EQ(v.width(), 12);
     EXPECT_EQ(v.toUint64(), 0xbcdu);
     BitVec w(100, 7);
     w.setBit(90, true);
-    w.setUint64(0x55);
+    w.setWords(&one, 1);
     EXPECT_EQ(w.toUint64(), 0x55u);
-    EXPECT_FALSE(w.bit(90));   // overwrites the whole value
+    EXPECT_FALSE(w.bit(90));   // missing words read as zero
     EXPECT_EQ(w.width(), 100);
 }
 

@@ -471,6 +471,60 @@ TEST(CppEmitter, FailingUnitReapsChildrenAndCleansUp)
     EXPECT_FALSE(sim.attachKernel(codegen::kernelRef(jr.kernel)));
 }
 
+TEST(CppEmitter, ForgedFrameSizeIsRefused)
+{
+    // A vtable that matches version, design hash and net count but
+    // claims another frame size would read and write the lent frame
+    // out of bounds: kernelMismatch refuses it before create() runs,
+    // and the interpreter keeps running on its own frame.
+    Sim sim(probeModule("frame_probe", 70));
+    const Netlist &nl = sim.netlist();
+    AnvilKernel forged{};
+    forged.version = ANVIL_KERNEL_VERSION;
+    forged.net_count = static_cast<uint32_t>(nl.nets().size());
+    forged.design_hash = designHash(nl);
+    forged.state_words = nl.stateWords();
+    EXPECT_EQ(kernelMismatch(&forged, nl), nullptr);
+    forged.state_words = nl.stateWords() + 1;
+    forged.create = []() -> void * {
+        ADD_FAILURE() << "create() called on a refused kernel";
+        return nullptr;
+    };
+    EXPECT_STREQ(kernelMismatch(&forged, nl),
+                 "kernel frame layout mismatch");
+    KernelRef ref;
+    ref.abi = &forged;
+    EXPECT_FALSE(sim.attachKernel(ref));
+    EXPECT_FALSE(sim.kernelAttached());
+    sim.setInput("x", 0x55);
+    sim.step();
+    sim.setInput("x", 0x0f);
+    sim.step();
+    EXPECT_EQ(sim.captureRegs()[0].toUint64(), 0x55ull ^ 0x0full);
+}
+
+TEST(CppEmitter, DesignWithoutNetsAttaches)
+{
+    // No nets, so no state block to lend: the attach must not ask the
+    // kernel for net 0's words, and the run goes on.
+    if (codegen::jitCompilerPath().empty())
+        GTEST_SKIP() << "no system compiler available";
+    auto m = std::make_shared<Module>();
+    m->name = "no_nets";
+    Sim sim(m);
+    ASSERT_TRUE(sim.netlist().nets().empty());
+    codegen::JitOptions jo;
+    jo.opt_level = 1;
+    codegen::JitResult jr = codegen::jitCompileKernel(sim.netlist(), jo);
+    ASSERT_NE(jr.kernel, nullptr) << jr.error;
+    EXPECT_TRUE(sim.attachKernel(codegen::kernelRef(jr.kernel)));
+    sim.step(3);
+    EXPECT_EQ(sim.cycle(), 3u);
+    // A wide ad-hoc expression appended after the attach gets whole
+    // host-side words.
+    EXPECT_EQ(sim.evalTop(cst(100, 5) + cst(100, 7)).toUint64(), 12u);
+}
+
 TEST(CppEmitter, BrokenCompilerFallsBackToInterpreter)
 {
     // A design no other test compiles, so the JIT cache can't mask

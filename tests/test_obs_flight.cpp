@@ -4,7 +4,9 @@
  * fills clips the window at the first captured cycle, a window above
  * the cap is refused, a trigger on the final cycle is flushed by
  * onFinish, distinct triggers produce distinct dumps, wrap-around
- * keeps exactly the configured context, and the reconstructed
+ * keeps exactly the configured context, the ring grows on demand
+ * (a maximal window on a short run holds only what it captured), and
+ * the reconstructed
  * windows are byte-identical across sweep
  * modes (and the compiled backend) and byte-compatible with a
  * VcdWriter covering the same cycles.
@@ -12,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -162,6 +165,29 @@ fullVcd(uint64_t cycles)
     return os.str();
 }
 
+/** A VcdWriter primed at cycle `from` and sampled through `to`,
+ *  under the same stimulus: what a window dump must equal. */
+std::string
+windowVcd(uint64_t from, uint64_t to)
+{
+    rtl::Sim sim(pingModule());
+    std::ostringstream os;
+    std::unique_ptr<rtl::VcdWriter> vcd;
+    std::unique_ptr<obs::ChangeFeed> feed;
+    for (uint64_t c = 0; c <= to; c++) {
+        drive(sim, c);
+        if (c == from) {
+            vcd = std::make_unique<rtl::VcdWriter>(sim, os);
+            feed = std::make_unique<obs::ChangeFeed>(sim);
+            feed->attach(*vcd);
+        }
+        if (feed)
+            feed->sample();
+        sim.step();
+    }
+    return os.str();
+}
+
 obs::FlightRecorder::Options
 opts(uint64_t pre, uint64_t post)
 {
@@ -278,6 +304,42 @@ TEST(FlightRecorder, WrapAroundKeepsExactlyTheConfiguredContext)
                 << ws.name << " @" << t;
         }
     }
+}
+
+TEST(FlightRecorder, WrappedWindowsMatchAWriterPrimedAtTheirStart)
+{
+    // A small ring wraps dozens of times before each trigger; a large
+    // one grows on demand first and wraps after.  Either way each
+    // dump is byte-identical to a VcdWriter primed at its first cycle.
+    for (auto fo : {opts(8, 4), opts(300, 4)}) {
+        FlightRun fr = runFlight(rtl::SweepMode::Dirty, 700,
+                                 {150, 650}, fo);
+        ASSERT_EQ(fr.dumps.size(), 2u);
+        for (size_t i = 0; i < fr.dumps.size(); i++)
+            EXPECT_EQ(fr.vcds[i],
+                      windowVcd(fr.dumps[i].from, fr.dumps[i].to))
+                << "pre " << fo.pre << " dump " << i;
+    }
+}
+
+TEST(FlightRecorder, MaximalWindowsHoldOnlyTheRecordsTheyKeep)
+{
+    // 2^20-cycle pre and post windows on a 5-cycle run: the ring
+    // grows on demand instead of allocating 2^21 + 2 records up
+    // front, so it holds only the five cycles it captured.
+    rtl::Sim sim(pingModule());
+    obs::ChangeFeed feed(sim);
+    obs::FlightRecorder rec(
+        sim, opts(obs::kMaxFlightWindow, obs::kMaxFlightWindow));
+    feed.attach(rec);
+    for (uint64_t c = 0; c < 5; c++) {
+        drive(sim, c);
+        feed.sample();
+        sim.step();
+    }
+    feed.finish();
+    EXPECT_EQ(rec.ringRecords(), 5u);
+    EXPECT_LE(rec.ringSlots(), 8u);
 }
 
 TEST(FlightRecorder, DumpsAreByteStableAcrossSweepModes)

@@ -7,7 +7,8 @@
  * coverage JSON, and BMC states_explored — across every evaluation
  * design plus the seeded low-activity AXI-crossbar and
  * set-associative-TLB workloads.  Also pins the structural properties the event-driven
- * sweep relies on (fan-out CSR shape, changed-net completeness) and
+ * sweep relies on (fan-out CSR shape, changed-net completeness), pins
+ * a mid-run kernel attach against an all-interpreter run, and
  * sanity-checks that dirty sweeping actually evaluates fewer nodes
  * than the dense sweep on sparse stimulus.
  */
@@ -363,6 +364,68 @@ TEST(SweepModes, CompiledChangedListIsExactOnWorkloads)
     };
     expectChangedSetsEqual(designs::buildSetAssocTlbBaseline(4, 32),
                            300, tlb_drive);
+}
+
+/**
+ * Tiered start: run `switch_at` cycles on the interpreter with every
+ * observer live, attach the kernel at that cycle boundary, and run
+ * on.  The lent frame needs no resync, so every artifact — registers,
+ * toggles, log, VCD bytes, coverage JSON, and each cycle's
+ * changed-net set — equals an all-interpreter run's.
+ */
+void
+expectMidRunAttachAgrees(const ModulePtr &mod, int cycles, int switch_at,
+                         const std::function<DriveFn()> &make_drive)
+{
+    SCOPED_TRACE(mod->name + " attach@" + std::to_string(switch_at));
+    Sim ref(mod), tier(mod);
+    std::ostringstream ref_os, tier_os;
+    VcdWriter ref_vcd(ref, ref_os), tier_vcd(tier, tier_os);
+    tb::Coverage ref_cov, tier_cov;
+    DriveFn da = make_drive(), db = make_drive();
+    for (int cyc = 0; cyc < cycles; cyc++) {
+        if (cyc == switch_at) {
+            attachJitKernel(tier);
+            ASSERT_TRUE(tier.kernelAttached());
+        }
+        da(ref, cyc);
+        db(tier, cyc);
+        std::vector<NetId> a = ref.changedNets(), b = tier.changedNets();
+        std::sort(a.begin(), a.end());
+        std::sort(b.begin(), b.end());
+        ASSERT_EQ(a, b) << "cycle " << cyc;
+        ref_cov.sample(ref);
+        tier_cov.sample(tier);
+        ref_vcd.sample();
+        tier_vcd.sample();
+        ref.step();
+        tier.step();
+        ASSERT_EQ(ref.totalToggles(), tier.totalToggles()) << cyc;
+    }
+    ASSERT_GT(tier.sweepStats().kernel_frames, 0u);
+    auto ra = ref.captureRegs(), rb = tier.captureRegs();
+    ASSERT_EQ(ra.size(), rb.size());
+    for (size_t i = 0; i < ra.size(); i++)
+        EXPECT_EQ(ra[i].toHex(), rb[i].toHex());
+    EXPECT_EQ(ref.log(), tier.log());
+    EXPECT_EQ(ref_os.str(), tier_os.str());
+    EXPECT_EQ(ref_cov.summaryJson(), tier_cov.summaryJson());
+}
+
+TEST(SweepModes, MidRunKernelAttachMatchesInterpreter)
+{
+    if (!haveJitCompiler())
+        GTEST_SKIP() << "no system compiler available";
+    expectMidRunAttachAgrees(designs::buildFifoBaseline(), 200, 73,
+                             denseStimulus(51));
+    expectMidRunAttachAgrees(designs::buildAesBaseline(), 50, 17,
+                             denseStimulus(52));
+    expectMidRunAttachAgrees(designs::buildTlbBaseline(), 300, 120,
+                             sparseStimulus(53, 8));
+    // Attach before the first sweep: the pending dense resweep
+    // carries over to the kernel.
+    expectMidRunAttachAgrees(designs::buildHazardDemoSystem(), 80, 0,
+                             denseStimulus(54));
 }
 
 TEST(SweepModes, XbarRoutesTraffic)
